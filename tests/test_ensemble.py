@@ -1,13 +1,20 @@
 """Monte Carlo engine tests: determinism, exact-zero branches, and gates."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from helpers import assert_dist, dist_as_dict
+from helpers import (
+    assert_dist,
+    dist_as_dict,
+    random_pvm_projectors,
+    random_unit_vector,
+    random_unitary,
+)
 from prepost.abl import SelectionContext, post_outcome_distribution, sequence_probability
 from prepost.core import (
     Distribution,
@@ -29,6 +36,7 @@ from prepost.ensemble import (
     agreement_check,
     conditional_frequencies,
     run_ensemble,
+    trial_outcome_labels,
     trial_records,
 )
 
@@ -158,6 +166,90 @@ class TestRunEnsemble:
         selected = sum(c for (_, f), c in stats.counts.items() if f == "x+")
         gate = 5.0 * math.sqrt(expected * (1 - expected) / 100000)
         assert abs(selected / 100000 - expected) <= gate
+
+
+def pinned_protocols() -> dict[str, Protocol]:
+    """One protocol per kind of intermediate stage, plus a random dim-8 one."""
+    photon = PureState(("x", "y"), [1.0, 0.0])
+    ready = PureState(("ready", "heads", "tails"), [1.0, 0.0, 0.0])
+    flip = UnitaryOp(np.array([[0.0, 0.0, 1.0], [S2, S2, 0.0], [S2, -S2, 0.0]]))
+    heads = np.diag([0.0, 1.0, 0.0])
+    coin_pvm = ProjectiveMeasurement([("heads", heads), ("noheads", np.eye(3) - heads)])
+    rng = np.random.default_rng(8)
+    labels = [str(k) for k in range(8)]
+    a = random_unit_vector(rng, 8)
+    u, v = UnitaryOp(random_unitary(rng, 8)), UnitaryOp(random_unitary(rng, 8))
+    query = ProjectiveMeasurement(
+        list(zip([f"q{k}" for k in labels], random_pvm_projectors(rng, 8, False))))
+    post = ProjectiveMeasurement(
+        list(zip([f"b{k}" for k in labels], random_pvm_projectors(rng, 8, False))))
+    return {
+        "none": Protocol(photon, axis_pvm(0.7)),
+        "unitary": Protocol(ready, coin_pvm, intermediate=UnitaryStage(flip)),
+        "measure": Protocol(z_plus(), sigma_x(),
+                            intermediate=MeasureStage(axis_pvm(0.7))),
+        "filter": Protocol(photon, axis_pvm(math.pi / 2),
+                           intermediate=FilterStage(axis_pvm(0.6), "pass", "block")),
+        "dim8": Protocol(PureState(labels, a), post, intermediate=MeasureStage(query),
+                         pre_to_t=u, t_to_post=v),
+    }
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+# The sampler draws its variates in chunks of 2^16 trials; these sizes sit
+# on either side of a chunk boundary and past several of them.
+PINNED_TRIALS = (1, 3, (1 << 16) - 1, (1 << 16) + 1, 3 * (1 << 16) + 5)
+PINNED_SEED = 7
+# sha256 prefixes of (counts, per-trial labels) from the sampler that drew
+# all variates at once; any refactor must reproduce them exactly.
+PINNED_DIGESTS = {
+    ("none", 1): ("ff86c0e5b53a5db7", "12a98e7491309919"),
+    ("none", 3): ("6b04e060c7837c61", "06686d80a53607ac"),
+    ("none", 65535): ("41f9929f03813002", "1d7134be70c159ab"),
+    ("none", 65537): ("dae4b2bba62b5fdb", "5d048b6ff4a69faf"),
+    ("none", 196613): ("899db72a199768ec", "9d4048198e447269"),
+    ("unitary", 1): ("fa61d95b4bdb8363", "9e99ad177cbd1ad8"),
+    ("unitary", 3): ("5de77bceb3dae445", "dfbefad373f29669"),
+    ("unitary", 65535): ("5e4a7f7850243299", "8f00149cbb01a223"),
+    ("unitary", 65537): ("c312d4a0ed97f615", "b6182713eb934731"),
+    ("unitary", 196613): ("8a145286d2161074", "c2e43bcf243aa2b2"),
+    ("measure", 1): ("15dc7f09a7cba81f", "ca43224478fd252a"),
+    ("measure", 3): ("810d4e2937b35407", "c9ed86c380431405"),
+    ("measure", 65535): ("7804f939b68e83b4", "e0923a6ffae49828"),
+    ("measure", 65537): ("91e43827d2617ddc", "4a30aa753930def8"),
+    ("measure", 196613): ("4cd6d223b1c37458", "f6e6dbb3aa929c39"),
+    ("filter", 1): ("0bbad85d49468ec0", "0efd257af77ea00b"),
+    ("filter", 3): ("c994ead5e5020f0f", "a7ed3adfa0e0f3a4"),
+    ("filter", 65535): ("08bdcb74d8278a92", "0dbc682d6b97675f"),
+    ("filter", 65537): ("2565f74e540e1b25", "f915bb83e691bd21"),
+    ("filter", 196613): ("2eb283d897686305", "a39d16ab0ef26664"),
+    ("dim8", 1): ("904519792414b698", "7d9abe07469b608f"),
+    ("dim8", 3): ("8b595edd250b67d7", "b45d72fa9dec855c"),
+    ("dim8", 65535): ("6d32e30f2703a3d7", "092d522c3abc714a"),
+    ("dim8", 65537): ("f1bfcb9b8c667649", "fe8c67e88812a283"),
+    ("dim8", 196613): ("5c3296a7f8130b8f", "999490e9df08257b"),
+}
+
+
+class TestDeterminismDigest:
+    @pytest.fixture(scope="class")
+    def protocols(self):
+        return pinned_protocols()
+
+    @pytest.mark.parametrize("trials", PINNED_TRIALS)
+    @pytest.mark.parametrize("name", ["none", "unitary", "measure", "filter", "dim8"])
+    def test_counts_and_labels_match_pinned_digest(self, protocols, name, trials):
+        proto = protocols[name]
+        counts, labels = PINNED_DIGESTS[(name, trials)]
+        for workers in (1, 2, 3, 4):
+            stats = run_ensemble(proto, trials, PINNED_SEED, workers=workers)
+            assert _digest(stats.to_json_dict()["counts"]) == counts, workers
+        mids, finals = trial_outcome_labels(proto, trials, PINNED_SEED)
+        assert _digest([None if mids is None else list(mids),
+                        list(finals)]) == labels
 
 
 class TestTrialRecords:

@@ -1,6 +1,7 @@
 """Scenario catalogue tests at reduced trial counts."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -131,6 +132,18 @@ class TestQuantumRaffle:
         assert report.checks["no_winner_in_every_trial"]
         assert report.monte_carlo["m_frequencies"].distribution.probability("0") == 1.0
         assert report.all_gates_passed
+
+    @pytest.mark.parametrize("held, digest", [(True, "4f0cc488efd4818c"),
+                                              (False, "df3c109db00ec38f")])
+    def test_twenty_coin_m_frequencies_match_pinned_digest(self, held, digest):
+        # Pinned from the sampler that drew all variates at once; the trial
+        # count crosses three 2^16-trial chunk boundaries.
+        report = run_scenario("quantum_raffle",
+                              {"n_coins": 20, "raffle_held": held},
+                              3 * (1 << 16) + 5, 7)
+        m_json = report.monte_carlo["m_frequencies"].to_json_dict()
+        assert hashlib.sha256(
+            json.dumps(m_json).encode()).hexdigest()[:16] == digest
 
     def test_held_raffle_matches_binomial(self):
         report = run_scenario("quantum_raffle",
