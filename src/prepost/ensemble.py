@@ -7,9 +7,10 @@ filter), evolves to the final time, and measures the final PVM. Only joint
 
 Determinism contract: the two uniform variates consumed by trial i are a
 fixed function of (seed, i), namely rows of a counter-based Philox stream
-keyed by the seed. Worker threads only partition the precomputed variate
-array into contiguous slices and sum integer count tables, so the result
-is byte-identical for every worker count and scheduling order.
+keyed by the seed. Each chunk of CHUNK trials is drawn from the stream
+advanced to its first trial, and each worker thread draws and tallies its
+own run of whole chunks: counts are byte-identical for every worker count,
+and memory does not depend on the number of trials.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import csv
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +39,11 @@ from .core import (
     stage_from_json,
     stage_to_json,
 )
+
+
+# Trials per variate chunk. Even, because one Philox counter step yields the
+# four 64-bit words of two trials, so only even trials can start a chunk.
+CHUNK = 1 << 16
 
 
 class EmptySelection(ValueError):
@@ -172,13 +179,7 @@ class AgreementReport:
             "z": self.z,
             "sample_size": self.sample_size,
             "passed": self.passed,
-            "entries": [{
-                "label": e.label,
-                "frequency": e.frequency,
-                "probability": e.probability,
-                "tolerance": e.tolerance,
-                "passed": e.passed,
-            } for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 
@@ -195,21 +196,16 @@ class EnsembleStats:
         self.counts = dict(counts)
 
     def final_frequencies(self) -> EmpiricalDistribution:
-        labels = self.protocol.post_pvm.labels
-        totals = {label: 0 for label in labels}
-        for (_, final), count in self.counts.items():
-            totals[final] += count
-        dist = Distribution([(l, totals[l] / self.trials) for l in labels])
-        return EmpiricalDistribution(dist, self.trials)
+        return self._marginal(self.protocol.post_pvm.labels, 1)
 
     def intermediate_frequencies(self) -> EmpiricalDistribution:
-        labels = self.protocol.intermediate_labels
-        if not labels:
-            return EmpiricalDistribution(Distribution([]), self.trials)
-        totals = {label: 0 for label in labels}
-        for (mid, _), count in self.counts.items():
-            totals[mid] += count
-        dist = Distribution([(l, totals[l] / self.trials) for l in labels])
+        """Empty when the protocol records no intermediate outcome."""
+        return self._marginal(self.protocol.intermediate_labels, 0)
+
+    def _marginal(self, labels: tuple[str, ...], side: int) -> EmpiricalDistribution:
+        dist = Distribution([
+            (l, sum(c for key, c in self.counts.items() if key[side] == l) / self.trials)
+            for l in labels])
         return EmpiricalDistribution(dist, self.trials)
 
     def ordered_keys(self) -> list[tuple[str | None, str]]:
@@ -260,13 +256,18 @@ def _clean_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _branch_table(protocol: Protocol) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
-    """Precompute per-branch sampling tables.
+def _branch_table(protocol: Protocol, trials: int, seed: int
+                  ) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
+    """Check the run size and seed, then precompute per-branch sampling tables.
 
     Returns (intermediate labels, branch CDF, per-branch final CDFs). For a
     protocol without recordable intermediate outcomes there is a single
     anonymous branch of probability one.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     at_t = evolve(protocol.preparation, protocol.pre_to_t)
     post = protocol.post_pvm
     n_final = len(post.labels)
@@ -288,9 +289,7 @@ def _branch_table(protocol: Protocol) -> tuple[tuple[str | None, ...], np.ndarra
     for k, label in enumerate(q.labels):
         if isinstance(stage, FilterStage) and label != stage.pass_label:
             # Absorbed branch: the final outcome is the absorb label itself.
-            one_hot = np.zeros(n_final)
-            one_hot[post.index(stage.absorb_label)] = 1.0
-            finals[k] = _clean_cdf(one_hot)
+            finals[k] = _clean_cdf(np.eye(n_final)[post.index(stage.absorb_label)])
         elif branch_probs[k] <= EPS_PROB:
             # Unreachable branch; the row is never consulted.
             finals[k] = np.ones(n_final)
@@ -299,40 +298,40 @@ def _branch_table(protocol: Protocol) -> tuple[tuple[str | None, ...], np.ndarra
     return q.labels, _clean_cdf(branch_probs), finals
 
 
-def _count_chunk(uniforms: np.ndarray, branch_cdf: np.ndarray,
-                 final_cdfs: np.ndarray) -> np.ndarray:
+def _draw(branch_cdf: np.ndarray, final_cdfs: np.ndarray, seed: int,
+          lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Branch and final outcome indices of trials [lo, hi); lo is even."""
+    bits = np.random.Philox(key=seed).advance(lo // 2)
+    uniforms = np.random.Generator(bits).random((hi - lo, 2))
     branch = np.searchsorted(branch_cdf, uniforms[:, 0], side="right")
-    rows = final_cdfs[branch]
-    final = np.sum(rows <= uniforms[:, 1][:, None], axis=1)
-    n_final = final_cdfs.shape[1]
-    flat = branch * n_final + final
-    return np.bincount(flat, minlength=branch_cdf.size * n_final)
+    # Right-bisect each trial's final CDF row one column at a time; the last
+    # column is exactly 1.0 and no variate reaches it.
+    final = np.zeros(hi - lo, dtype=np.intp)
+    for column in final_cdfs.T[:-1]:
+        final += column.take(branch) <= uniforms[:, 1]
+    return branch, final
 
 
-def _sample_indices(protocol: Protocol, trials: int, seed: int,
-                    workers: int | None = None
-                    ) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
-    """Vectorized per-trial branch and final outcome indices."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    mids, branch_cdf, final_cdfs = _branch_table(protocol)
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
-    branch = np.searchsorted(branch_cdf, uniforms[:, 0], side="right")
-    final = np.sum(final_cdfs[branch] <= uniforms[:, 1][:, None], axis=1)
-    return mids, branch, final
+def index_chunks(protocol: Protocol, trials: int, seed: int
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per-trial (branch index, final index) arrays, CHUNK trials at a time,
+    for the same draws that run_ensemble tallies. A suspended iterator holds
+    no arrays, so many can be interleaved."""
+    _, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
+    return (_draw(branch_cdf, final_cdfs, seed, lo, min(lo + CHUNK, trials))
+            for lo in range(0, trials, CHUNK))
 
 
 def trial_outcome_labels(protocol: Protocol, trials: int, seed: int
                          ) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-trial outcome label arrays; the intermediate array is None when
     the protocol records no intermediate outcome."""
-    mids, branch, final = _sample_indices(protocol, trials, seed)
+    branch, final = (np.concatenate(parts) for parts in
+                     zip(*index_chunks(protocol, trials, seed)))
     final_labels = np.array(protocol.post_pvm.labels, dtype=object)[final]
-    if mids == (None,):
+    if not protocol.intermediate_labels:
         return None, final_labels
-    return np.array(mids, dtype=object)[branch], final_labels
+    return np.array(protocol.intermediate_labels, dtype=object)[branch], final_labels
 
 
 def run_ensemble(protocol: Protocol, trials: int, seed: int,
@@ -340,37 +339,40 @@ def run_ensemble(protocol: Protocol, trials: int, seed: int,
     """Run the protocol for the given number of trials and tally outcomes.
 
     Identical (protocol, trials, seed) always produce identical counts;
-    ``workers`` only changes how the fixed per-trial variates are chunked.
-    With workers=None a worker count is chosen automatically.
+    ``workers`` only changes which thread draws which chunks. With
+    workers=None a worker count is chosen automatically; no more workers
+    run than there are chunks.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    mids, branch_cdf, final_cdfs = _branch_table(protocol)
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((trials, 2))
+    mids, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
     if workers is None:
-        workers = 1 if trials < 50_000 else min(4, os.cpu_count() or 1)
+        workers = min(4, os.cpu_count() or 1)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    workers = min(workers, trials)
+    n_chunks = -(-trials // CHUNK)
+    workers = min(workers, n_chunks)
+    n_final = final_cdfs.shape[1]
+    size = branch_cdf.size * n_final
+
+    def tally(lo: int, hi: int) -> np.ndarray:
+        table = np.zeros(size, dtype=np.int64)
+        for start in range(lo, hi, CHUNK):
+            branch, final = _draw(branch_cdf, final_cdfs, seed, start,
+                                  min(start + CHUNK, hi))
+            table += np.bincount(branch * n_final + final, minlength=size)
+        return table
 
     if workers == 1:
-        table = _count_chunk(uniforms, branch_cdf, final_cdfs)
+        table = tally(0, trials)
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        chunks = [uniforms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # Each worker owns a contiguous run of whole chunks.
+        bounds = [min(c * CHUNK, trials)
+                  for c in np.linspace(0, n_chunks, workers + 1, dtype=int)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(
-                lambda c: _count_chunk(c, branch_cdf, final_cdfs), chunks))
-        table = np.sum(tables, axis=0)
+            table = sum(pool.map(tally, bounds[:-1], bounds[1:]))
 
-    n_final = len(protocol.post_pvm.labels)
-    counts = {
-        (mid, f_label): int(table[b * n_final + f])
-        for b, mid in enumerate(mids)
-        for f, f_label in enumerate(protocol.post_pvm.labels)
-    }
+    counts = {(mid, f_label): int(n)
+              for mid, row in zip(mids, table.reshape(-1, n_final))
+              for f_label, n in zip(protocol.post_pvm.labels, row)}
     return EnsembleStats(protocol, trials, seed, counts)
 
 
@@ -378,7 +380,7 @@ def trial_records(protocol: Protocol, trials: int, seed: int) -> list[TrialRecor
     """Per-trial records, consistent with run_ensemble for the same seed."""
     mid_labels, final_labels = trial_outcome_labels(protocol, trials, seed)
     if mid_labels is None:
-        return [TrialRecord(i, None, f) for i, f in enumerate(final_labels)]
+        mid_labels = [None] * trials
     return [TrialRecord(i, m, f)
             for i, (m, f) in enumerate(zip(mid_labels, final_labels))]
 
@@ -394,11 +396,8 @@ def conditional_frequencies(stats: EnsembleStats, condition: str) -> EmpiricalDi
     if matched == 0:
         raise EmptySelection(
             f"final outcome {condition!r} occurred in 0 of {stats.trials} trials")
-    mids = stats.protocol.intermediate_labels
-    if not mids:
-        return EmpiricalDistribution(Distribution([]), matched)
-    dist = Distribution([
-        (m, stats.counts.get((m, condition), 0) / matched) for m in mids])
+    dist = Distribution([(m, stats.counts.get((m, condition), 0) / matched)
+                         for m in stats.protocol.intermediate_labels])
     return EmpiricalDistribution(dist, matched)
 
 

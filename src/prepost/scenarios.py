@@ -41,6 +41,7 @@ from .counterfactual import (
     evaluate,
 )
 from .ensemble import (
+    CHUNK,
     AgreementReport,
     EmpiricalDistribution,
     EmptySelection,
@@ -48,8 +49,8 @@ from .ensemble import (
     Protocol,
     agreement_check,
     conditional_frequencies,
+    index_chunks,
     run_ensemble,
-    trial_outcome_labels,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -389,12 +390,16 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     report.analytic["p_no_winner"] = m_distribution.probability("0")
 
     # Each entrant's coin is an independent system with its own stream.
-    m_counts = np.zeros(trials, dtype=int)
-    for coin in range(n_coins):
-        _, finals = trial_outcome_labels(proto, trials, _subseed(seed, coin))
-        m_counts += (finals == "heads")
+    # Heads are counted coin by coin within one chunk of trials at a time.
+    heads = heads_pvm.index("heads")
+    coins = [index_chunks(proto, trials, _subseed(seed, coin))
+             for coin in range(n_coins)]
+    m_hist = np.zeros(n_coins + 1, dtype=np.int64)
+    for _ in range(0, trials, CHUNK):
+        m_counts = sum(next(coin)[1] == heads for coin in coins)
+        m_hist += np.bincount(m_counts, minlength=n_coins + 1)
     m_frequencies = EmpiricalDistribution(
-        Distribution([(label, float(np.count_nonzero(m_counts == k)) / trials)
+        Distribution([(label, int(m_hist[k]) / trials)
                       for k, label in enumerate(m_labels)]),
         trials)
     report.monte_carlo["m_frequencies"] = m_frequencies
@@ -407,9 +412,8 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
         report.monte_carlo["first_coin_ensemble"].final_frequencies(),
         post_outcome_distribution(ready, heads_pvm, intermediate=stage))
     if not held:
-        report.checks["no_winner_in_every_trial"] = bool(np.all(m_counts == 0))
-    report.monte_carlo["winner_frequency"] = float(
-        np.count_nonzero(m_counts > 0)) / trials
+        report.checks["no_winner_in_every_trial"] = int(m_hist[0]) == trials
+    report.monte_carlo["winner_frequency"] = int(trials - m_hist[0]) / trials
 
     report.narrative = (
         "Each entrant holds a three-level coin prepared ready; holding the "

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from prepost.core import (
     axis_pvm,
 )
 from prepost.ensemble import (
+    CHUNK,
     AgreementReport,
     EmptySelection,
     EmpiricalDistribution,
@@ -250,6 +252,36 @@ class TestDeterminismDigest:
         mids, finals = trial_outcome_labels(proto, trials, PINNED_SEED)
         assert _digest([None if mids is None else list(mids),
                         list(finals)]) == labels
+
+
+    def test_pinned_sizes_straddle_chunk_boundaries(self):
+        # Chunk starts must be even: one Philox counter step feeds two trials.
+        assert CHUNK % 2 == 0
+        assert {CHUNK - 1, CHUNK + 1} <= set(PINNED_TRIALS)
+        assert max(PINNED_TRIALS) > 3 * CHUNK
+
+
+# Working set of one chunk: variates and index arrays, under 64 B a trial.
+CHUNK_BYTES = 64 * CHUNK
+
+
+class TestBoundedMemory:
+    @staticmethod
+    def peak_bytes(proto: Protocol, trials: int, workers: int) -> int:
+        tracemalloc.start()
+        try:
+            run_ensemble(proto, trials, seed=3, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_trials(self, workers):
+        proto = pinned_protocols()["dim8"]  # 8 final outcomes
+        small = self.peak_bytes(proto, 4 * CHUNK, workers)
+        large = self.peak_bytes(proto, 32 * CHUNK, workers)
+        assert abs(large - small) <= CHUNK_BYTES
+        assert large <= 4 * CHUNK_BYTES
 
 
 class TestTrialRecords:
