@@ -61,6 +61,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _unit_vector(raw, what: str) -> np.ndarray:
     v = np.asarray(raw, dtype=complex).reshape(-1).copy()
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite amplitudes")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_REPAIR:
         raise ValueError(f"{what} has norm {norm!r}, expected 1")
@@ -313,6 +315,8 @@ class Distribution:
     def __init__(self, entries: Sequence[tuple[str, float]]) -> None:
         labels = _check_unique([label for label, _ in entries], "distribution")
         probs = np.asarray([p for _, p in entries], dtype=float)
+        if not np.all(np.isfinite(probs)):
+            raise ValueError(f"non-finite probabilities: {probs}")
         if probs.size:
             if probs.min() < -EPS_NORM or probs.max() > 1.0 + EPS_NORM:
                 raise ValueError(f"probabilities outside [0, 1]: {probs}")

@@ -9,6 +9,7 @@ accompanied by the simulation evidence for it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -227,6 +228,15 @@ def _take_params(params: dict | None, defaults: dict) -> dict:
     return merged
 
 
+def _typed(params: dict, name: str, kind: type, what: str):
+    """The named parameter, which must be a ``kind``; JSON true and false
+    count only as bool, never as a number."""
+    value = params[name]
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _subseed(seed: int, index: int) -> int:
     # Stable derived stream for a sub-experiment; independent of numpy's
     # global state and reproducible across platforms.
@@ -363,8 +373,8 @@ def _raffle_flip() -> UnitaryOp:
 
 def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     p = _take_params(params, {"n_coins": 3, "raffle_held": True})
-    n_coins = int(p["n_coins"])
-    held = bool(p["raffle_held"])
+    n_coins = int(_typed(p, "n_coins", numbers.Integral, "an integer"))
+    held = _typed(p, "raffle_held", bool, "true or false")
     if not 1 <= n_coins <= 20:
         raise ValueError("n_coins must be between 1 and 20")
     report = ScenarioReport("quantum_raffle",
@@ -433,7 +443,9 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
 
 def _scenario_crossed_polarizers(params, trials, seed, workers) -> ScenarioReport:
     p = _take_params(params, {"theta": math.pi / 4})
-    theta = float(p["theta"])
+    theta = float(_typed(p, "theta", numbers.Real, "a real number"))
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if abs(math.sin(theta) * math.cos(theta)) < 1e-9:
         raise ValueError("theta must not be aligned with either polarizer")
     report = ScenarioReport("crossed_polarizers", {"theta": theta}, trials, seed)

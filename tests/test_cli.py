@@ -117,6 +117,19 @@ class TestScenario:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("name, params", [
+        ("quantum_raffle", '{"raffle_held": "false"}'),
+        ("quantum_raffle", '{"n_coins": 2.7}'),
+        ("crossed_polarizers", '{"theta": "nan"}'),
+        ("crossed_polarizers", '{"theta": NaN}'),
+    ])
+    def test_mistyped_param_is_an_input_error(self, capsys, name, params):
+        code, out, err = run_cli(capsys, "scenario", name, "--params", params,
+                                 "--trials", "100")
+        assert code == 2
+        assert json.loads(params).popitem()[0] in err
+        assert out == ""
+
     def test_unknown_param_key(self, capsys):
         code, _, err = run_cli(capsys, "scenario", "three_box",
                                "--params", '{"boxes": 4}', "--trials", "100")
@@ -153,6 +166,16 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--config", str(bad))
         assert code == 2
         assert err
+
+    def test_nan_amplitude_is_an_input_error(self, capsys, tmp_path):
+        data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
+        data["base_protocol"]["preparation"]["amplitudes"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))  # written as the bare token NaN
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(bad))
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
 
     def test_csv_is_not_offered(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--config",

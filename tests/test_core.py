@@ -89,6 +89,11 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(("a", "a"), [S2, S2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(("a", "b"), [bad, 0.0])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PureState(("a", "b", "c"), [1.0, 0.0])
@@ -328,6 +333,11 @@ class TestDistribution:
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError):
             Distribution([("a", 0.6), ("b", 0.6)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution([("a", bad), ("b", 1.0)])
 
     def test_empty_distribution_is_allowed(self):
         d = Distribution([])
