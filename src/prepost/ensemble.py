@@ -7,10 +7,10 @@ filter), evolves to the final time, and measures the final PVM. Only joint
 
 Determinism contract: the two uniform variates consumed by trial i are a
 fixed function of (seed, i), namely rows of a counter-based Philox stream
-keyed by the seed. Each chunk of CHUNK trials is drawn from the stream
-advanced to its first trial, and each worker thread draws and tallies its
-own run of whole chunks: counts are byte-identical for every worker count,
-and memory does not depend on the number of trials.
+keyed by the seed. Each even-aligned chunk of CHUNK trials is drawn from
+the stream advanced to its first trial, and each worker thread draws and
+tallies its own run of whole chunks: counts are byte-identical for every
+worker count, and memory does not depend on the number of trials.
 """
 from __future__ import annotations
 
@@ -365,8 +365,8 @@ def run_ensemble(protocol: Protocol, trials: int, seed: int,
         table = tally(0, trials)
     else:
         # Each worker owns a contiguous run of whole chunks.
-        bounds = [min(c * CHUNK, trials)
-                  for c in np.linspace(0, n_chunks, workers + 1, dtype=int)]
+        bounds = [min(n_chunks * k // workers * CHUNK, trials)
+                  for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             table = sum(pool.map(tally, bounds[:-1], bounds[1:]))
 
