@@ -39,11 +39,28 @@ class CliConfig:
     workers: int | None = None
 
 
-def _positive_int(text: str) -> int:
+# Upper bounds on --trials and --workers; larger values are input errors
+# (exit 2). Sampling time grows with the trial count, and every worker is an
+# operating-system thread.
+MAX_TRIALS = 10**9
+MAX_WORKERS = 64
+
+
+def _positive_int(text: str, limit: int | None = None) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"must be at most {limit}")
     return value
+
+
+def _trial_count(text: str) -> int:
+    return _positive_int(text, MAX_TRIALS)
+
+
+def _worker_count(text: str) -> int:
+    return _positive_int(text, MAX_WORKERS)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -75,12 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
     runtime = argparse.ArgumentParser(add_help=False)
-    runtime.add_argument("--trials", type=_positive_int, default=100_000,
-                         help="Monte Carlo trials (default 100000)")
+    runtime.add_argument("--trials", type=_trial_count, default=100_000,
+                         help=f"Monte Carlo trials (default 100000, at most "
+                              f"{MAX_TRIALS})")
     runtime.add_argument("--seed", type=_nonnegative_int, default=0,
                          help="random seed (default 0; runs are reproducible)")
-    runtime.add_argument("--workers", type=_positive_int, default=None,
-                         help="worker threads; results do not depend on this")
+    runtime.add_argument("--workers", type=_worker_count, default=None,
+                         help=f"worker threads, at most {MAX_WORKERS}; results "
+                              "do not depend on this")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -125,6 +125,8 @@ class ProjectiveMeasurement:
         dim = None
         for (label, raw) in outcomes:
             p = np.asarray(raw, dtype=complex)
+            if not np.isfinite(p).all():
+                raise ValueError(f"projector for {label!r} has non-finite entries")
             if p.ndim != 2 or p.shape[0] != p.shape[1]:
                 raise ValueError(f"projector for {label!r} is not square")
             if dim is None:
@@ -204,6 +206,8 @@ class UnitaryOp:
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("unitary matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("unitary matrix must be square")
         if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]),
@@ -279,6 +283,8 @@ class DensityMatrix:
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         if not np.allclose(m, m.conj().T, atol=EPS_NORM, rtol=0.0):

@@ -8,9 +8,11 @@ filter), evolves to the final time, and measures the final PVM. Only joint
 Determinism contract: the two uniform variates consumed by trial i are a
 fixed function of (seed, i), namely rows of a counter-based Philox stream
 keyed by the seed. Each even-aligned chunk of CHUNK trials is drawn from
-the stream advanced to its first trial, and each worker thread draws and
-tallies its own run of whole chunks: counts are byte-identical for every
-worker count, and memory does not depend on the number of trials.
+the stream advanced to its first trial. Every tally, run_ensemble's and the
+per-trial outcome counts over many seeded streams (the quantum raffle's
+coins), is summed by worker threads that each draw their own run of whole
+chunks: counts are byte-identical for every worker count, and memory does
+not depend on the number of trials.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import csv
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Iterator
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -72,15 +74,12 @@ class Protocol:
         if isinstance(intermediate, (MeasureStage, FilterStage)):
             if intermediate.pvm.dim != dim:
                 raise ValueError(f"intermediate dim {intermediate.pvm.dim} != {dim}")
-        elif isinstance(intermediate, UnitaryStage):
-            if intermediate.unitary.dim != dim:
-                raise ValueError(
-                    f"intermediate unitary dim {intermediate.unitary.dim} != {dim}")
-        elif intermediate is not None:
+        elif not isinstance(intermediate, (UnitaryStage, type(None))):
             raise TypeError(f"not an intermediate stage: {intermediate!r}")
         if isinstance(intermediate, FilterStage):
             post_pvm.index(intermediate.absorb_label)  # KeyError if absent
-        for u in (pre_to_t, t_to_post):
+        stage_u = intermediate.unitary if isinstance(intermediate, UnitaryStage) else None
+        for u in (pre_to_t, stage_u, t_to_post):
             if u is not None and u.dim != dim:
                 raise ValueError(f"unitary dim {u.dim} != {dim}")
         if selection is not None:
@@ -277,11 +276,10 @@ def _branch_table(protocol: Protocol, trials: int, seed: int
         return _clean_cdf(dist.probabilities)
 
     stage = protocol.intermediate
-    if stage is None:
-        return (None,), np.array([1.0]), final_cdf(at_t).reshape(1, -1)
     if isinstance(stage, UnitaryStage):
-        return ((None,), np.array([1.0]),
-                final_cdf(evolve(at_t, stage.unitary)).reshape(1, -1))
+        at_t = evolve(at_t, stage.unitary)
+    if not protocol.intermediate_labels:
+        return (None,), np.array([1.0]), final_cdf(at_t).reshape(1, -1)
 
     q = stage.pvm
     branch_probs = born_distribution(at_t, q).probabilities
@@ -299,38 +297,60 @@ def _branch_table(protocol: Protocol, trials: int, seed: int
 
 
 def _draw(branch_cdf: np.ndarray, final_cdfs: np.ndarray, seed: int,
-          lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Branch and final outcome indices of trials [lo, hi); lo is even."""
+          lo: int, hi: int) -> tuple[np.ndarray | int, np.ndarray]:
+    """Branch and final outcome indices of trials [lo, hi); lo is even.
+    The branch index is the scalar 0 when there is only one branch."""
     bits = np.random.Philox(key=seed).advance(lo // 2)
     uniforms = np.random.Generator(bits).random((hi - lo, 2))
-    branch = np.searchsorted(branch_cdf, uniforms[:, 0], side="right")
     # Right-bisect each trial's final CDF row one column at a time; the last
     # column is exactly 1.0 and no variate reaches it.
     final = np.zeros(hi - lo, dtype=np.intp)
+    if branch_cdf.size == 1:  # the branch CDF is [1.0]: no bisect needed
+        for edge in final_cdfs[0, :-1]:
+            final += edge <= uniforms[:, 1]
+        return 0, final
+    branch = np.searchsorted(branch_cdf, uniforms[:, 0], side="right")
     for column in final_cdfs.T[:-1]:
         final += column.take(branch) <= uniforms[:, 1]
     return branch, final
 
 
-def index_chunks(protocol: Protocol, trials: int, seed: int
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per-trial (branch index, final index) arrays, CHUNK trials at a time,
-    for the same draws that run_ensemble tallies. A suspended iterator holds
-    no arrays, so many can be interleaved."""
-    _, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
-    return (_draw(branch_cdf, final_cdfs, seed, lo, min(lo + CHUNK, trials))
-            for lo in range(0, trials, CHUNK))
+def _run_chunks(trials: int, workers: int | None,
+                count: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Sum of count(lo, hi) over the chunks [lo, hi) of trials [0, trials).
+    At most ``workers`` threads (None picks a number) each sum a contiguous
+    run of whole chunks; a single run is summed inline."""
+    if workers is None:
+        workers = min(4, os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    n_chunks = -(-trials // CHUNK)
+    workers = min(workers, n_chunks)
+
+    def tally(lo: int, hi: int) -> np.ndarray:
+        return sum(count(start, min(start + CHUNK, hi))
+                   for start in range(lo, hi, CHUNK))
+
+    if workers == 1:
+        return tally(0, trials)
+    bounds = [min(n_chunks * k // workers * CHUNK, trials)
+              for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(tally, bounds[:-1], bounds[1:]))
 
 
 def trial_outcome_labels(protocol: Protocol, trials: int, seed: int
                          ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Per-trial outcome label arrays; the intermediate array is None when
-    the protocol records no intermediate outcome."""
-    branch, final = (np.concatenate(parts) for parts in
-                     zip(*index_chunks(protocol, trials, seed)))
+    """Per-trial outcome labels of the draws that run_ensemble tallies; the
+    intermediate array is None when the protocol records no such outcome."""
+    _, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
+    chunks = [_draw(branch_cdf, final_cdfs, seed, lo, min(lo + CHUNK, trials))
+              for lo in range(0, trials, CHUNK)]
+    final = np.concatenate([f for _, f in chunks])
     final_labels = np.array(protocol.post_pvm.labels, dtype=object)[final]
     if not protocol.intermediate_labels:
         return None, final_labels
+    branch = np.concatenate([np.broadcast_to(b, f.shape) for b, f in chunks])
     return np.array(protocol.intermediate_labels, dtype=object)[branch], final_labels
 
 
@@ -344,36 +364,37 @@ def run_ensemble(protocol: Protocol, trials: int, seed: int,
     run than there are chunks.
     """
     mids, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    n_chunks = -(-trials // CHUNK)
-    workers = min(workers, n_chunks)
     n_final = final_cdfs.shape[1]
     size = branch_cdf.size * n_final
 
-    def tally(lo: int, hi: int) -> np.ndarray:
-        table = np.zeros(size, dtype=np.int64)
-        for start in range(lo, hi, CHUNK):
-            branch, final = _draw(branch_cdf, final_cdfs, seed, start,
-                                  min(start + CHUNK, hi))
-            table += np.bincount(branch * n_final + final, minlength=size)
-        return table
+    def count(lo: int, hi: int) -> np.ndarray:
+        branch, final = _draw(branch_cdf, final_cdfs, seed, lo, hi)
+        return np.bincount(branch * n_final + final, minlength=size)
 
-    if workers == 1:
-        table = tally(0, trials)
-    else:
-        # Each worker owns a contiguous run of whole chunks.
-        bounds = [min(n_chunks * k // workers * CHUNK, trials)
-                  for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = sum(pool.map(tally, bounds[:-1], bounds[1:]))
-
+    table = _run_chunks(trials, workers, count)
     counts = {(mid, f_label): int(n)
               for mid, row in zip(mids, table.reshape(-1, n_final))
               for f_label, n in zip(protocol.post_pvm.labels, row)}
     return EnsembleStats(protocol, trials, seed, counts)
+
+
+def outcome_count_histogram(protocol: Protocol, label: str, trials: int,
+                            seeds: Sequence[int], workers: int | None = None
+                            ) -> np.ndarray:
+    """Entry m counts the trials in which exactly m of the independent runs
+    of the protocol, one per seed, end in ``label``; each run makes the
+    draws that run_ensemble would tally for its seed."""
+    target = protocol.post_pvm.index(label)  # KeyError if absent
+    # The tables do not depend on the seed; checking the smallest checks all.
+    _, branch_cdf, final_cdfs = _branch_table(protocol, trials, min(seeds))
+
+    def count(lo: int, hi: int) -> np.ndarray:
+        hits = np.zeros(hi - lo, dtype=np.min_scalar_type(len(seeds)))
+        for seed in seeds:
+            hits += _draw(branch_cdf, final_cdfs, seed, lo, hi)[1] == target
+        return np.bincount(hits, minlength=len(seeds) + 1)
+
+    return _run_chunks(trials, workers, count)
 
 
 def trial_records(protocol: Protocol, trials: int, seed: int) -> list[TrialRecord]:

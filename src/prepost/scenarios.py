@@ -42,7 +42,6 @@ from .counterfactual import (
     evaluate,
 )
 from .ensemble import (
-    CHUNK,
     AgreementReport,
     EmpiricalDistribution,
     EmptySelection,
@@ -50,7 +49,7 @@ from .ensemble import (
     Protocol,
     agreement_check,
     conditional_frequencies,
-    index_chunks,
+    outcome_count_histogram,
     run_ensemble,
 )
 
@@ -108,21 +107,20 @@ class ScenarioReport:
         if self.params:
             rendered = ", ".join(f"{k}={v}" for k, v in self.params.items())
             lines.append(f"params: {rendered}")
-        lines.append(f"trials: {self.trials}  seed: {self.seed}")
-        lines.append(f"all gates passed: {_fmt(self.all_gates_passed)}")
+        lines += [f"trials: {self.trials}  seed: {self.seed}",
+                  f"all gates passed: {_fmt(self.all_gates_passed)}"]
 
         def section(title: str, items: dict, render: Callable) -> None:
-            if not items:
-                return
-            lines.append("")
-            lines.append(title)
-            for key, value in items.items():
-                render(key, value)
+            if items:
+                lines.extend(["", title])
+                for key, value in items.items():
+                    render(key, value)
 
-        section("ANALYTIC", self.analytic,
-                lambda k, v: lines.append(f"  {k}: {_fmt(v)}"))
-        section("MONTE CARLO", self.monte_carlo,
-                lambda k, v: lines.append(f"  {k}: {_fmt(v)}"))
+        def plain(key: str, value) -> None:
+            lines.append(f"  {key}: {_fmt(value)}")
+
+        section("ANALYTIC", self.analytic, plain)
+        section("MONTE CARLO", self.monte_carlo, plain)
 
         def render_agreement(key: str, rep: AgreementReport) -> None:
             status = "pass" if rep.passed else "FAIL"
@@ -134,8 +132,7 @@ class ScenarioReport:
                     f" within {e.tolerance:.6f}: {mark}")
 
         section("AGREEMENT", self.agreements, render_agreement)
-        section("CHECKS", self.checks,
-                lambda k, v: lines.append(f"  {k}: {_fmt(v)}"))
+        section("CHECKS", self.checks, plain)
 
         def render_verdict(key: str, v: Verdict) -> None:
             lines.append(
@@ -155,11 +152,8 @@ class ScenarioReport:
             lines.append(f"    disturbed:   {_fmt(r.disturbed)}")
 
         section("COTENABILITY", self.cotenability, render_coten)
-        if self.narrative:
-            lines.append("")
-            lines.append("NOTES")
-            for note in self.narrative:
-                lines.append(f"  - {note}")
+        section("NOTES", dict(enumerate(self.narrative)),
+                lambda _, note: lines.append(f"  - {note}"))
         return "\n".join(lines) + "\n"
 
 
@@ -172,10 +166,8 @@ def _jsonify(value):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -223,9 +215,7 @@ def _take_params(params: dict | None, defaults: dict) -> dict:
     if unknown:
         raise ValueError(
             f"unknown parameters {sorted(unknown)}; accepted: {sorted(defaults)}")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
+    return {**defaults, **given}
 
 
 def _typed(params: dict, name: str, kind: type, what: str):
@@ -389,8 +379,8 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     stage = UnitaryStage(_raffle_flip()) if held else None
     proto = Protocol(ready, heads_pvm, intermediate=stage)
 
-    p_heads = post_outcome_distribution(
-        ready, heads_pvm, intermediate=stage).probability("heads")
+    coin_distribution = post_outcome_distribution(ready, heads_pvm, intermediate=stage)
+    p_heads = coin_distribution.probability("heads")
     report.analytic["p_heads_per_coin"] = p_heads
     m_labels = [str(k) for k in range(n_coins + 1)]
     pmf = [math.comb(n_coins, k) * p_heads**k * (1 - p_heads)**(n_coins - k)
@@ -400,27 +390,18 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     report.analytic["p_no_winner"] = m_distribution.probability("0")
 
     # Each entrant's coin is an independent system with its own stream.
-    # Heads are counted coin by coin within one chunk of trials at a time.
-    heads = heads_pvm.index("heads")
-    coins = [index_chunks(proto, trials, _subseed(seed, coin))
-             for coin in range(n_coins)]
-    m_hist = np.zeros(n_coins + 1, dtype=np.int64)
-    for _ in range(0, trials, CHUNK):
-        m_counts = sum(next(coin)[1] == heads for coin in coins)
-        m_hist += np.bincount(m_counts, minlength=n_coins + 1)
-    m_frequencies = EmpiricalDistribution(
-        Distribution([(label, int(m_hist[k]) / trials)
-                      for k, label in enumerate(m_labels)]),
-        trials)
+    m_hist = outcome_count_histogram(
+        proto, "heads", trials,
+        [_subseed(seed, coin) for coin in range(n_coins)], workers)
+    m_frequencies = EmpiricalDistribution(Distribution(
+        [(label, int(n) / trials) for label, n in zip(m_labels, m_hist)]), trials)
     report.monte_carlo["m_frequencies"] = m_frequencies
-    report.monte_carlo["first_coin_ensemble"] = run_ensemble(
-        proto, trials, _subseed(seed, 0), workers=workers)
+    first_coin = run_ensemble(proto, trials, _subseed(seed, 0), workers=workers)
+    report.monte_carlo["first_coin_ensemble"] = first_coin
 
-    report.agreements["m_vs_binomial"] = agreement_check(
-        m_frequencies, m_distribution)
+    report.agreements["m_vs_binomial"] = agreement_check(m_frequencies, m_distribution)
     report.agreements["first_coin_vs_analytic"] = agreement_check(
-        report.monte_carlo["first_coin_ensemble"].final_frequencies(),
-        post_outcome_distribution(ready, heads_pvm, intermediate=stage))
+        first_coin.final_frequencies(), coin_distribution)
     if not held:
         report.checks["no_winner_in_every_trial"] = int(m_hist[0]) == trials
     report.monte_carlo["winner_frequency"] = int(trials - m_hist[0]) / trials
@@ -464,9 +445,8 @@ def _scenario_crossed_polarizers(params, trials, seed, workers) -> ScenarioRepor
 
     direct_stats = run_ensemble(base, trials, seed, workers=workers)
     report.monte_carlo["direct_ensemble"] = direct_stats
-    direct_passes = sum(c for (_, f), c in direct_stats.counts.items()
-                        if f == "pass")
-    report.checks["no_pass_without_intermediate"] = direct_passes == 0
+    report.checks["no_pass_without_intermediate"] = (
+        direct_stats.counts[(None, "pass")] == 0)
 
     filter_stage = FilterStage(middle, "pass", "block")
     inserted = Protocol(photon, final, intermediate=filter_stage,
@@ -584,8 +564,7 @@ def _scenario_epr_timelike_detection(params, trials, seed, workers) -> ScenarioR
 
     idle_stats = run_ensemble(idle, trials, seed, workers=workers)
     report.monte_carlo["idle_ensemble"] = idle_stats
-    flipped_idle = sum(c for (_, f), c in idle_stats.counts.items() if f == "z-")
-    report.checks["flip_never_happens_when_idle"] = flipped_idle == 0
+    report.checks["flip_never_happens_when_idle"] = idle_stats.counts[(None, "z-")] == 0
 
     probed_stats = run_ensemble(probed, trials, _subseed(seed, 1),
                                 workers=workers)

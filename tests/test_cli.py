@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from prepost.cli import main
+from prepost.cli import MAX_TRIALS, MAX_WORKERS, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,6 +177,19 @@ class TestEvaluate:
         assert "non-finite" in err
         assert out == ""
 
+    def test_nan_in_unitary_is_an_input_error(self, capsys, tmp_path):
+        data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
+        data["base_protocol"]["pre_to_t"] = {
+            "dim": 2,
+            "matrix": [[[float("nan"), 0.0], [0.0, 0.0]],
+                       [[0.0, 0.0], [1.0, 0.0]]]}
+        bad = tmp_path / "nan_unitary.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(bad))
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+
     def test_csv_is_not_offered(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--config",
                                str(CONFIG_DIR / "aad_single.json"),
@@ -231,6 +244,23 @@ class TestOutputAndUsage:
         code, _, err = run_cli(capsys, "scenario", "three_box",
                                "--trials", "0")
         assert code == 2
+
+    # Out-of-range sizes are rejected while parsing, so these cases start no
+    # run and no threads.
+    @pytest.mark.parametrize("command", ["scenario three_box", "verify"])
+    @pytest.mark.parametrize("flag, limit", [("--trials", MAX_TRIALS),
+                                             ("--workers", MAX_WORKERS)])
+    def test_sizes_above_their_bound_rejected(self, capsys, command, flag, limit):
+        code, out, err = run_cli(capsys, *command.split(), flag, str(limit + 1))
+        assert code == 2
+        assert f"must be at most {limit}" in err
+        assert out == ""
+
+    def test_bounds_themselves_are_accepted(self):
+        ns = build_parser().parse_args(
+            ["scenario", "three_box", "--trials", str(MAX_TRIALS),
+             "--workers", str(MAX_WORKERS)])
+        assert (ns.trials, ns.workers) == (MAX_TRIALS, MAX_WORKERS)
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

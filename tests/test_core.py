@@ -150,6 +150,11 @@ class TestProjectiveMeasurement:
         assert pvm.labels == ("hit", "miss")
         assert np.allclose(pvm.projector("hit"), np.full((2, 2), 0.5))
 
+    def test_non_finite_entry_rejected(self):
+        p = np.array([[1.0, 0.0], [0.0, float("nan")]])
+        with pytest.raises(ValueError, match="non-finite"):
+            ProjectiveMeasurement([("m", p), ("n", np.eye(2) - p)])
+
     def test_json_round_trip_is_lossless(self):
         pvm = sigma_x()
         back = ProjectiveMeasurement.from_json_dict(pvm.to_json_dict())
@@ -166,6 +171,11 @@ class TestUnitaryOp:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             UnitaryOp([[1.0, 0.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            UnitaryOp([[1.0, 0.0], [0.0, bad]])
 
     def test_json_round_trip(self):
         u = UnitaryOp([[S2, S2], [S2, -S2]])
@@ -310,6 +320,10 @@ class TestReducedDensity:
             DensityMatrix([[0.5, 0.0], [0.0, 0.6]])
         with pytest.raises(ValueError):
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]])
+
+    def test_density_matrix_non_finite_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix([[0.5, float("nan")], [0.0, 0.5]])
 
 
 class TestAxisPvm:

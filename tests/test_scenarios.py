@@ -4,12 +4,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from prepost.core import EPS_NORM
 from prepost.counterfactual import Classification
+from prepost.ensemble import CHUNK
 from prepost.scenarios import (
     ScenarioReport,
     UnknownScenario,
@@ -18,6 +20,9 @@ from prepost.scenarios import (
 )
 
 N = 20000
+# Working set of one sampler chunk: variates and index arrays, under 64 B a
+# trial.
+CHUNK_BYTES = 64 * CHUNK
 
 
 class TestDispatch:
@@ -144,6 +149,35 @@ class TestQuantumRaffle:
         m_json = report.monte_carlo["m_frequencies"].to_json_dict()
         assert hashlib.sha256(
             json.dumps(m_json).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("held, digest", [(True, "4f0cc488efd4818c"),
+                                              (False, "df3c109db00ec38f")])
+    def test_pinned_digest_holds_for_every_worker_count(self, held, digest, workers):
+        # Four chunks, so up to four workers each draw their own run of coins.
+        report = run_scenario("quantum_raffle",
+                              {"n_coins": 20, "raffle_held": held},
+                              3 * CHUNK + 5, 7, workers=workers)
+        m_json = report.monte_carlo["m_frequencies"].to_json_dict()
+        assert hashlib.sha256(
+            json.dumps(m_json).encode()).hexdigest()[:16] == digest
+
+    @staticmethod
+    def peak_bytes(trials: int, workers: int) -> int:
+        tracemalloc.start()
+        try:
+            run_scenario("quantum_raffle", {"n_coins": 20}, trials, 3,
+                         workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_trials(self, workers):
+        small = self.peak_bytes(4 * CHUNK, workers)
+        large = self.peak_bytes(32 * CHUNK, workers)
+        assert abs(large - small) <= CHUNK_BYTES
+        assert large <= 4 * CHUNK_BYTES
 
     def test_held_raffle_matches_binomial(self):
         report = run_scenario("quantum_raffle",
