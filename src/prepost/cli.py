@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .abl import ImpossiblePostSelection
 from .counterfactual import CounterfactualStatement, Verdict, evaluate
+from .ensemble import MAX_WORKERS
 from .scenarios import ScenarioReport, UnknownScenario, available_scenarios, run_scenario
 from .verify import run_verification
 
@@ -39,11 +40,9 @@ class CliConfig:
     workers: int | None = None
 
 
-# Upper bounds on --trials and --workers; larger values are input errors
-# (exit 2). Sampling time grows with the trial count, and every worker is an
-# operating-system thread.
+# Upper bound on --trials; larger values are input errors (exit 2), like
+# --workers above ensemble.MAX_WORKERS. Sampling time grows with the trials.
 MAX_TRIALS = 10**9
-MAX_WORKERS = 64
 
 
 def _positive_int(text: str, limit: int | None = None) -> int:

@@ -18,9 +18,10 @@ import numpy as np
 EPS_NORM = 1e-10
 # Probabilities at or below this are treated as exactly zero.
 EPS_PROB = 1e-12
-# Constructors renormalize inputs whose norm is off by less than this and
-# reject anything worse: tolerate hand-entered decimals, catch wrong input.
+# Norm errors below this are renormalized (hand-entered decimals), larger rejected.
 NORM_REPAIR = 1e-6
+# Slack added to each agreement-gate tolerance, so zero-variance exact matches pass.
+EPS_AGREE = 1e-10
 
 Side = Literal["left", "right"]
 
@@ -57,6 +58,12 @@ def _matrix_from_json(data: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _within_eps(a, b, axis=None):
+    """max|a - b| <= EPS_NORM, over ``axis``; for finite input this is
+    np.allclose(a, b, atol=EPS_NORM, rtol=0)."""
+    return np.abs(a - b).max(axis=axis, initial=0.0) <= EPS_NORM
 
 
 def _unit_vector(raw, what: str) -> np.ndarray:
@@ -122,31 +129,31 @@ class ProjectiveMeasurement:
             raise ValueError("a measurement needs at least one outcome")
         labels = _check_unique([label for label, _ in outcomes], "outcome")
         mats = []
-        dim = None
         for (label, raw) in outcomes:
             p = np.asarray(raw, dtype=complex)
             if not np.isfinite(p).all():
                 raise ValueError(f"projector for {label!r} has non-finite entries")
             if p.ndim != 2 or p.shape[0] != p.shape[1]:
                 raise ValueError(f"projector for {label!r} is not square")
-            if dim is None:
-                dim = p.shape[0]
-            elif p.shape[0] != dim:
+            if mats and p.shape != mats[0].shape:
                 raise DimensionMismatch("projectors have mixed dimensions")
-            if not np.allclose(p, p.conj().T, atol=EPS_NORM, rtol=0.0):
-                raise ValueError(f"projector for {label!r} is not Hermitian")
-            if not np.allclose(p @ p, p, atol=EPS_NORM, rtol=0.0):
-                raise ValueError(f"projector for {label!r} is not idempotent")
             mats.append(p)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if not np.allclose(mats[i] @ mats[j], 0.0, atol=EPS_NORM, rtol=0.0):
-                    raise ValueError(
-                        f"projectors {labels[i]!r} and {labels[j]!r} overlap")
-        if not np.allclose(sum(mats), np.eye(dim), atol=EPS_NORM, rtol=0.0):
-            raise ValueError("projectors do not sum to the identity")
-        self.outcomes = tuple(
-            (label, _frozen(mat.copy())) for label, mat in zip(labels, mats))
+        stack = np.array(mats)
+        n, dim = stack.shape[:2]
+        hermitian = _within_eps(stack, stack.conj().transpose(0, 2, 1), (1, 2))
+        # Block (i, j) of rows @ columns is P_i P_j, which must equal δ_ij P_i.
+        blocks = (stack.reshape(n * dim, dim) @ stack.transpose(1, 0, 2).reshape(
+            dim, n * dim)).reshape(n, dim, n, dim)
+        blocks[np.arange(n), :, np.arange(n)] -= stack
+        product_ok = _within_eps(blocks, 0.0, (1, 3))
+        faults = [f"projector for {label!r} is not {'idempotent' if h else 'Hermitian'}"
+                  for label, h, ok in zip(labels, hermitian, product_ok.diagonal())
+                  if not (h and ok)]
+        faults += [f"projectors {labels[i]!r} and {labels[j]!r} overlap"
+                   for i, j in zip(*np.nonzero(~product_ok)) if i < j]
+        if faults or not _within_eps(stack.sum(0), np.eye(dim)):
+            raise ValueError((faults or ["projectors do not sum to the identity"])[0])
+        self.outcomes = tuple(zip(labels, _frozen(stack)))
         self._index = {label: k for k, (label, _) in enumerate(self.outcomes)}
 
     @property
@@ -210,8 +217,7 @@ class UnitaryOp:
             raise ValueError("unitary matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("unitary matrix must be square")
-        if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]),
-                           atol=EPS_NORM, rtol=0.0):
+        if not _within_eps(m.conj().T @ m, np.eye(m.shape[0])):
             raise ValueError("matrix is not unitary")
         self.matrix = _frozen(m.copy())
 
@@ -287,7 +293,7 @@ class DensityMatrix:
             raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if not np.allclose(m, m.conj().T, atol=EPS_NORM, rtol=0.0):
+        if not _within_eps(m, m.conj().T):
             raise ValueError("density matrix is not Hermitian")
         if abs(np.real(np.trace(m)) - 1.0) > EPS_NORM:
             raise ValueError(f"trace {np.real(np.trace(m))!r} is not 1")
@@ -317,6 +323,8 @@ class Distribution:
     The empty distribution is allowed; it represents frequencies over a
     protocol stage that produces no outcomes.
     """
+
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[tuple[str, float]]) -> None:
         labels = _check_unique([label for label, _ in entries], "distribution")

@@ -112,7 +112,7 @@ class CounterfactualStatement:
                    Flavor(data["flavor"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CotenabilityReport:
     """Does inserting the query change what happens at the final measurement?"""
     undisturbed: Distribution
@@ -131,7 +131,7 @@ class CotenabilityReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     flavor: Flavor
     claimed: Distribution

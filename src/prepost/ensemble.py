@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
+    EPS_AGREE,
     EPS_PROB,
     Distribution,
     FilterStage,
@@ -46,6 +47,8 @@ from .core import (
 # Trials per variate chunk. Even, because one Philox counter step yields the
 # four 64-bit words of two trials, so only even trials can start a chunk.
 CHUNK = 1 << 16
+# Upper bound on the worker count: every worker is an operating-system thread.
+MAX_WORKERS = 64
 
 
 class EmptySelection(ValueError):
@@ -138,14 +141,14 @@ class Protocol:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial_index: int
     intermediate_outcome: str | None
     final_outcome: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmpiricalDistribution:
     """Frequencies plus the sample size they were computed from."""
     distribution: Distribution
@@ -156,7 +159,7 @@ class EmpiricalDistribution:
                 "sample_size": self.sample_size}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgreementEntry:
     label: str
     frequency: float
@@ -165,7 +168,7 @@ class AgreementEntry:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgreementReport:
     """Per-outcome binomial z-gates between frequencies and probabilities."""
     entries: tuple[AgreementEntry, ...]
@@ -322,8 +325,8 @@ def _run_chunks(trials: int, workers: int | None,
     run of whole chunks; a single run is summed inline."""
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
     n_chunks = -(-trials // CHUNK)
     workers = min(workers, n_chunks)
 
@@ -354,6 +357,22 @@ def trial_outcome_labels(protocol: Protocol, trials: int, seed: int
     return np.array(protocol.intermediate_labels, dtype=object)[branch], final_labels
 
 
+def _joint_counts(branch: np.ndarray | int, final: np.ndarray,
+                  final_cdfs: np.ndarray) -> np.ndarray:
+    """Tally of (branch, final outcome) index pairs, flattened row-major."""
+    n_branch, n_final = final_cdfs.shape
+    return np.bincount(branch * n_final + final, minlength=n_branch * n_final)
+
+
+def _ensemble_stats(protocol: Protocol, trials: int, seed: int,
+                    mids: tuple[str | None, ...], table: np.ndarray) -> EnsembleStats:
+    n_final = len(protocol.post_pvm.labels)
+    counts = {(mid, f_label): int(n)
+              for mid, row in zip(mids, table.reshape(-1, n_final))
+              for f_label, n in zip(protocol.post_pvm.labels, row)}
+    return EnsembleStats(protocol, trials, seed, counts)
+
+
 def run_ensemble(protocol: Protocol, trials: int, seed: int,
                  workers: int | None = None) -> EnsembleStats:
     """Run the protocol for the given number of trials and tally outcomes.
@@ -361,40 +380,41 @@ def run_ensemble(protocol: Protocol, trials: int, seed: int,
     Identical (protocol, trials, seed) always produce identical counts;
     ``workers`` only changes which thread draws which chunks. With
     workers=None a worker count is chosen automatically; no more workers
-    run than there are chunks.
+    run than there are chunks, and more than MAX_WORKERS is an error.
     """
     mids, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
-    n_final = final_cdfs.shape[1]
-    size = branch_cdf.size * n_final
 
     def count(lo: int, hi: int) -> np.ndarray:
-        branch, final = _draw(branch_cdf, final_cdfs, seed, lo, hi)
-        return np.bincount(branch * n_final + final, minlength=size)
+        return _joint_counts(*_draw(branch_cdf, final_cdfs, seed, lo, hi), final_cdfs)
 
     table = _run_chunks(trials, workers, count)
-    counts = {(mid, f_label): int(n)
-              for mid, row in zip(mids, table.reshape(-1, n_final))
-              for f_label, n in zip(protocol.post_pvm.labels, row)}
-    return EnsembleStats(protocol, trials, seed, counts)
+    return _ensemble_stats(protocol, trials, seed, mids, table)
 
 
 def outcome_count_histogram(protocol: Protocol, label: str, trials: int,
                             seeds: Sequence[int], workers: int | None = None
-                            ) -> np.ndarray:
-    """Entry m counts the trials in which exactly m of the independent runs
-    of the protocol, one per seed, end in ``label``; each run makes the
-    draws that run_ensemble would tally for its seed."""
+                            ) -> tuple[np.ndarray, EnsembleStats]:
+    """Entry m of the histogram counts the trials in which exactly m of the
+    independent runs of the protocol, one per seed, end in ``label``; each
+    run makes the draws that run_ensemble would tally for its seed. Returned
+    with run_ensemble's tally for the first seed, taken from the same draws."""
     target = protocol.post_pvm.index(label)  # KeyError if absent
     # The tables do not depend on the seed; checking the smallest checks all.
-    _, branch_cdf, final_cdfs = _branch_table(protocol, trials, min(seeds))
+    mids, branch_cdf, final_cdfs = _branch_table(protocol, trials, min(seeds))
+    n_hist = len(seeds) + 1
 
     def count(lo: int, hi: int) -> np.ndarray:
         hits = np.zeros(hi - lo, dtype=np.min_scalar_type(len(seeds)))
-        for seed in seeds:
-            hits += _draw(branch_cdf, final_cdfs, seed, lo, hi)[1] == target
-        return np.bincount(hits, minlength=len(seeds) + 1)
+        for k, seed in enumerate(seeds):
+            branch, final = _draw(branch_cdf, final_cdfs, seed, lo, hi)
+            if k == 0:
+                first = _joint_counts(branch, final, final_cdfs)
+            hits += final == target
+        return np.concatenate([np.bincount(hits, minlength=n_hist), first])
 
-    return _run_chunks(trials, workers, count)
+    table = _run_chunks(trials, workers, count)
+    return table[:n_hist], _ensemble_stats(protocol, trials, seeds[0], mids,
+                                           table[n_hist:])
 
 
 def trial_records(protocol: Protocol, trials: int, seed: int) -> list[TrialRecord]:
@@ -435,7 +455,7 @@ def agreement_check(empirical: EmpiricalDistribution, analytic: Distribution,
     entries = []
     for label, p in analytic:
         freq = emp.probability(label)
-        tolerance = z * float(np.sqrt(p * (1.0 - p) / n)) + 1e-10
+        tolerance = z * float(np.sqrt(p * (1.0 - p) / n)) + EPS_AGREE
         entries.append(AgreementEntry(
             label=label, frequency=freq, probability=p,
             tolerance=tolerance, passed=abs(freq - p) <= tolerance))

@@ -390,13 +390,12 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     report.analytic["p_no_winner"] = m_distribution.probability("0")
 
     # Each entrant's coin is an independent system with its own stream.
-    m_hist = outcome_count_histogram(
+    m_hist, first_coin = outcome_count_histogram(
         proto, "heads", trials,
         [_subseed(seed, coin) for coin in range(n_coins)], workers)
     m_frequencies = EmpiricalDistribution(Distribution(
         [(label, int(n) / trials) for label, n in zip(m_labels, m_hist)]), trials)
     report.monte_carlo["m_frequencies"] = m_frequencies
-    first_coin = run_ensemble(proto, trials, _subseed(seed, 0), workers=workers)
     report.monte_carlo["first_coin_ensemble"] = first_coin
 
     report.agreements["m_vs_binomial"] = agreement_check(m_frequencies, m_distribution)

@@ -29,6 +29,7 @@ from prepost.core import (
 )
 from prepost.ensemble import (
     CHUNK,
+    MAX_WORKERS,
     AgreementReport,
     EmptySelection,
     EmpiricalDistribution,
@@ -37,6 +38,7 @@ from prepost.ensemble import (
     TrialRecord,
     agreement_check,
     conditional_frequencies,
+    outcome_count_histogram,
     run_ensemble,
     trial_outcome_labels,
     trial_records,
@@ -375,3 +377,38 @@ class TestSerialization:
         assert data["seed"] == 13
         assert data["protocol"]["selection"] == "x+"
         assert sum(row["count"] for row in data["counts"]) == 1000
+
+
+class TestOutcomeCountHistogram:
+    TRIALS = 3 * CHUNK + 5
+
+    @pytest.mark.parametrize("name", ["unitary", "measure", "filter", "dim8"])
+    def test_matches_per_trial_labels_and_first_seed_ensemble(self, name):
+        proto = pinned_protocols()[name]
+        label = proto.post_pvm.labels[0]
+        seeds = [PINNED_SEED, 11, 12]
+        hits = sum((trial_outcome_labels(proto, self.TRIALS, s)[1] == label).astype(int)
+                   for s in seeds)
+        expected = np.bincount(hits, minlength=len(seeds) + 1)
+        for workers in (1, 3):
+            hist, first = outcome_count_histogram(proto, label, self.TRIALS, seeds,
+                                                  workers=workers)
+            assert np.array_equal(hist, expected)
+            assert (first.trials, first.seed) == (self.TRIALS, PINNED_SEED)
+            # The first seed's tally is the pinned run_ensemble digest.
+            assert _digest(first.to_json_dict()["counts"]) == \
+                PINNED_DIGESTS[(name, self.TRIALS)][0]
+
+
+class TestWorkerBound:
+    @pytest.mark.parametrize("run", [
+        lambda proto, workers: run_ensemble(proto, 10, 1, workers=workers),
+        lambda proto, workers: outcome_count_histogram(
+            proto, "x+", 10, [1, 2], workers=workers),
+    ])
+    def test_more_than_max_workers_is_rejected(self, run):
+        # Ten trials are one chunk, so no thread would start either way.
+        proto = aad_protocol()
+        run(proto, MAX_WORKERS)
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_WORKERS}"):
+            run(proto, MAX_WORKERS + 1)

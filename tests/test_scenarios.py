@@ -11,7 +11,7 @@ import pytest
 
 from prepost.core import EPS_NORM
 from prepost.counterfactual import Classification
-from prepost.ensemble import CHUNK
+from prepost.ensemble import CHUNK, run_ensemble
 from prepost.scenarios import (
     ScenarioReport,
     UnknownScenario,
@@ -178,6 +178,17 @@ class TestQuantumRaffle:
         large = self.peak_bytes(32 * CHUNK, workers)
         assert abs(large - small) <= CHUNK_BYTES
         assert large <= 4 * CHUNK_BYTES
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("held", [True, False])
+    def test_first_coin_ensemble_equals_its_own_run(self, held, workers):
+        # Coin 0 is tallied in the same pass as the histogram; a separate
+        # run_ensemble of its stream must give the same counts.
+        report = run_scenario("quantum_raffle", {"n_coins": 4, "raffle_held": held},
+                              3 * CHUNK + 5, 7, workers=workers)
+        first = report.monte_carlo["first_coin_ensemble"]
+        again = run_ensemble(first.protocol, first.trials, first.seed, workers=1)
+        assert first.counts == again.counts
 
     def test_held_raffle_matches_binomial(self):
         report = run_scenario("quantum_raffle",
