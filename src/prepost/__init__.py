@@ -15,6 +15,7 @@ from .abl import (
     sequence_probability,
 )
 from .core import (
+    EPS_COTEN,
     EPS_NORM,
     EPS_PROB,
     BipartiteState,
@@ -33,13 +34,11 @@ from .core import (
     collapse,
     embed_pvm,
     evolve,
-    measure_subsystem,
     reduced_density,
     tensor,
     total_variation,
 )
 from .counterfactual import (
-    EPS_COTEN,
     Classification,
     CotenabilityReport,
     CounterfactualStatement,
@@ -59,7 +58,6 @@ from .ensemble import (
     conditional_frequencies,
     run_ensemble,
     trial_outcome_labels,
-    trial_records,
 )
 from .scenarios import (
     ScenarioInfo,
@@ -116,7 +114,6 @@ __all__ = [
     "embed_pvm",
     "evaluate",
     "evolve",
-    "measure_subsystem",
     "post_outcome_distribution",
     "reduced_density",
     "run_ensemble",
@@ -126,5 +123,4 @@ __all__ = [
     "tensor",
     "total_variation",
     "trial_outcome_labels",
-    "trial_records",
 ]

@@ -19,6 +19,8 @@ Evolution operators are carried in the context and default to the identity
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     EPS_PROB,
     Distribution,
@@ -30,7 +32,7 @@ from .core import (
     UnitaryOp,
     UnitaryStage,
     born_distribution,
-    collapse,
+    branch_distributions,
     evolve,
 )
 
@@ -85,17 +87,9 @@ def _branch_weights(ctx: SelectionContext,
     """
     if q.dim != ctx.dim:
         raise ValueError(f"query dim {q.dim} != {ctx.dim}")
-    at_t = evolve(ctx.pre, ctx.pre_to_t)
-    born_at_t = born_distribution(at_t, q)
-    weights = []
-    for label, p_j in born_at_t:
-        if p_j <= EPS_PROB:
-            weights.append(0.0)
-            continue
-        branch = evolve(collapse(at_t, q, label), ctx.t_to_post)
-        p_b = born_distribution(branch, ctx.post_pvm).probability(ctx.post_label)
-        weights.append(p_j * p_b)
-    return weights
+    p, rows = branch_distributions(evolve(ctx.pre, ctx.pre_to_t), q,
+                                   ctx.t_to_post, ctx.post_pvm)
+    return (p * rows[:, ctx.post_pvm.index(ctx.post_label)]).tolist()
 
 
 def abl_distribution(ctx: SelectionContext,
@@ -160,28 +154,15 @@ def post_outcome_distribution(
         return born_distribution(evolve(evolve(at_t, intermediate.unitary), v),
                                  post_pvm)
 
+    if not isinstance(intermediate, (MeasureStage, FilterStage)):
+        raise TypeError(f"not an intermediate stage: {intermediate!r}")
+    p, rows = branch_distributions(at_t, intermediate.pvm, v, post_pvm)
     if isinstance(intermediate, MeasureStage):
-        q = intermediate.pvm
-        mixture = [0.0] * len(post_pvm.labels)
-        for label, p_j in born_distribution(at_t, q):
-            if p_j <= EPS_PROB:
-                continue
-            branch = evolve(collapse(at_t, q, label), v)
-            for k, (_, p_b) in enumerate(born_distribution(branch, post_pvm)):
-                mixture[k] += p_j * p_b
-        return Distribution(list(zip(post_pvm.labels, mixture)))
-
-    if isinstance(intermediate, FilterStage):
-        absorb_idx = post_pvm.index(intermediate.absorb_label)
-        p_pass = born_distribution(at_t, intermediate.pvm).probability(
-            intermediate.pass_label)
-        mixture = [0.0] * len(post_pvm.labels)
-        if p_pass > EPS_PROB:
-            branch = evolve(
-                collapse(at_t, intermediate.pvm, intermediate.pass_label), v)
-            for k, (_, p_b) in enumerate(born_distribution(branch, post_pvm)):
-                mixture[k] += p_pass * p_b
-        mixture[absorb_idx] += 1.0 - min(p_pass, 1.0)
-        return Distribution(list(zip(post_pvm.labels, mixture)))
-
-    raise TypeError(f"not an intermediate stage: {intermediate!r}")
+        # Python's sum adds the rows in outcome order from zero, as the
+        # per-branch loop did; ndarray.sum may reorder the additions.
+        mixture = sum(p[:, None] * rows, np.zeros(len(post_pvm.labels)))
+    else:
+        j = intermediate.pvm.index(intermediate.pass_label)
+        mixture = p[j] * rows[j]
+        mixture[post_pvm.index(intermediate.absorb_label)] += 1.0 - min(p[j], 1.0)
+    return Distribution(list(zip(post_pvm.labels, mixture)))

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .abl import ImpossiblePostSelection
 from .counterfactual import CounterfactualStatement, Verdict, evaluate
@@ -23,21 +22,6 @@ from .verify import run_verification
 
 class CliError(Exception):
     """Input or usage problem; maps to exit status 2."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    scenario: str | None = None
-    params: dict | None = None
-    config_path: str | None = None
-    instances: int = 500
-    compound_instances: int = 200
-    trials: int = 100_000
-    seed: int = 0
-    format: str = "text"
-    output: str | None = None
-    workers: int | None = None
 
 
 # Upper bound on --trials; larger values are input errors (exit 2), like
@@ -131,22 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=ns.command,
-        scenario=getattr(ns, "name", None),
-        params=getattr(ns, "params", None),
-        config_path=getattr(ns, "config", None),
-        instances=getattr(ns, "instances", 500),
-        compound_instances=getattr(ns, "compound_instances", 200),
-        trials=getattr(ns, "trials", 100_000),
-        seed=getattr(ns, "seed", 0),
-        format=ns.format,
-        output=ns.output,
-        workers=getattr(ns, "workers", None),
-    )
-
-
 def _json_payload(data: dict | list) -> str:
     return json.dumps(data, indent=2) + "\n"
 
@@ -192,29 +160,29 @@ def _list_text() -> str:
     return "\n".join(lines)
 
 
-def _require_tabular(config: CliConfig) -> None:
-    if config.format == "csv":
+def _require_tabular(args: argparse.Namespace) -> None:
+    if args.format == "csv":
         raise CliError("csv output is only available for scenario reports")
 
 
-def _dispatch_scenario(config: CliConfig) -> tuple[int, str]:
+def _dispatch_scenario(args: argparse.Namespace) -> tuple[int, str]:
     try:
-        report = run_scenario(config.scenario, config.params, config.trials,
-                              config.seed, workers=config.workers)
+        report = run_scenario(args.name, args.params, args.trials, args.seed,
+                              workers=args.workers)
     except (UnknownScenario, ValueError) as exc:
         raise CliError(str(exc)) from exc
     status = 0 if report.all_gates_passed else 1
-    if config.format == "json":
+    if args.format == "json":
         return status, _json_payload(report.to_json_dict())
-    if config.format == "csv":
+    if args.format == "csv":
         return status, _scenario_csv(report)
     return status, report.to_text()
 
 
-def _dispatch_evaluate(config: CliConfig) -> tuple[int, str]:
-    _require_tabular(config)
+def _dispatch_evaluate(args: argparse.Namespace) -> tuple[int, str]:
+    _require_tabular(args)
     try:
-        with open(config.config_path, encoding="utf-8") as handle:
+        with open(args.config, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from exc
@@ -228,26 +196,26 @@ def _dispatch_evaluate(config: CliConfig) -> tuple[int, str]:
         verdict = evaluate(statement)
     except ImpossiblePostSelection as exc:
         raise CliError(str(exc)) from exc
-    if config.format == "json":
+    if args.format == "json":
         return 0, _json_payload(verdict.to_json_dict())
     return 0, _verdict_text(verdict)
 
 
-def _dispatch_verify(config: CliConfig) -> tuple[int, str]:
-    _require_tabular(config)
-    report = run_verification(instances=config.instances,
-                              compound_instances=config.compound_instances,
-                              trials=config.trials, seed=config.seed,
-                              workers=config.workers)
+def _dispatch_verify(args: argparse.Namespace) -> tuple[int, str]:
+    _require_tabular(args)
+    report = run_verification(instances=args.instances,
+                              compound_instances=args.compound_instances,
+                              trials=args.trials, seed=args.seed,
+                              workers=args.workers)
     status = 0 if report.all_passed else 1
-    if config.format == "json":
+    if args.format == "json":
         return status, _json_payload(report.to_json_dict())
     return status, report.to_text()
 
 
-def _dispatch_list(config: CliConfig) -> tuple[int, str]:
-    _require_tabular(config)
-    if config.format == "json":
+def _dispatch_list(args: argparse.Namespace) -> tuple[int, str]:
+    _require_tabular(args)
+    if args.format == "json":
         return 0, _json_payload([
             {"name": info.name, "description": info.description,
              "params": dict(info.params_doc)}
@@ -256,32 +224,31 @@ def _dispatch_list(config: CliConfig) -> tuple[int, str]:
     return 0, _list_text()
 
 
-def dispatch(config: CliConfig) -> tuple[int, str]:
+def dispatch(args: argparse.Namespace) -> tuple[int, str]:
     """Run one parsed command; returns (exit status, rendered report)."""
     handler = {
         "scenario": _dispatch_scenario,
         "evaluate": _dispatch_evaluate,
         "verify": _dispatch_verify,
         "list": _dispatch_list,
-    }[config.command]
-    return handler(config)
+    }[args.command]
+    return handler(args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config_from(namespace)
     try:
-        status, payload = dispatch(config)
+        status, payload = dispatch(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output:
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)

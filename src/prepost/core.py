@@ -22,6 +22,10 @@ EPS_PROB = 1e-12
 NORM_REPAIR = 1e-6
 # Slack added to each agreement-gate tolerance, so zero-variance exact matches pass.
 EPS_AGREE = 1e-10
+# Final-outcome disturbance (total variation) at or below this counts as none.
+EPS_COTEN = 1e-10
+# Largest error a verify suite accepts between two routes to the same quantity.
+EPS_VERIFY = 1e-10
 
 Side = Literal["left", "right"]
 
@@ -135,6 +139,8 @@ class ProjectiveMeasurement:
                 raise ValueError(f"projector for {label!r} has non-finite entries")
             if p.ndim != 2 or p.shape[0] != p.shape[1]:
                 raise ValueError(f"projector for {label!r} is not square")
+            if p.size == 0:
+                raise ValueError(f"projector for {label!r} is empty (0x0)")
             if mats and p.shape != mats[0].shape:
                 raise DimensionMismatch("projectors have mixed dimensions")
             mats.append(p)
@@ -217,6 +223,8 @@ class UnitaryOp:
             raise ValueError("unitary matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("unitary matrix must be square")
+        if m.size == 0:
+            raise ValueError("unitary matrix is empty (0x0)")
         if not _within_eps(m.conj().T @ m, np.eye(m.shape[0])):
             raise ValueError("matrix is not unitary")
         self.matrix = _frozen(m.copy())
@@ -270,19 +278,6 @@ class BipartiteState:
     def __repr__(self) -> str:
         return f"BipartiteState(dims={self.dims})"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "left_labels": list(self.left_labels),
-            "right_labels": list(self.right_labels),
-            "amplitudes": _vector_to_json(self.amplitudes),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BipartiteState":
-        return cls(data["left_labels"], data["right_labels"],
-                   _vector_from_json(data["amplitudes"]))
-
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
@@ -293,6 +288,8 @@ class DensityMatrix:
             raise ValueError("density matrix has non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
+        if m.size == 0:
+            raise ValueError("density matrix is empty (0x0)")
         if not _within_eps(m, m.conj().T):
             raise ValueError("density matrix is not Hermitian")
         if abs(np.real(np.trace(m)) - 1.0) > EPS_NORM:
@@ -310,10 +307,6 @@ class DensityMatrix:
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "matrix": _matrix_to_json(self.matrix)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        return cls(_matrix_from_json(data["matrix"]))
 
 
 class Distribution:
@@ -366,10 +359,6 @@ class Distribution:
     def to_json_dict(self) -> dict:
         return {"entries": [{"label": l, "probability": p}
                             for l, p in self.entries]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Distribution":
-        return cls([(e["label"], e["probability"]) for e in data["entries"]])
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:
@@ -432,6 +421,9 @@ def stage_to_json(stage: Stage) -> dict | None:
 def stage_from_json(data: dict | None) -> Stage:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ValueError("intermediate stage must be a JSON object or null, "
+                         f"got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "measure":
         return MeasureStage(ProjectiveMeasurement.from_json_dict(data["pvm"]))
@@ -480,35 +472,30 @@ def evolve(state: PureState, u: UnitaryOp) -> PureState:
     return PureState(state.basis_labels, u.matrix @ state.amplitudes)
 
 
+def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
+                         u: UnitaryOp, post: ProjectiveMeasurement
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Born weights of ``pvm``'s outcomes and what follows each of them.
+
+    Returns (p, rows): p[j] is the Born weight of outcome j in ``state``, and
+    rows[j] the Born distribution of ``post`` once the state has collapsed
+    onto outcome j and evolved by ``u``. Outcomes with p[j] <= EPS_PROB are
+    not collapsed and get a zero row. The path weight through outcome j to
+    final outcome k is p[j] * rows[j, k] (Aharonov, Bergmann & Lebowitz).
+    """
+    p = born_distribution(state, pvm).probabilities
+    rows = np.zeros((len(p), len(post.labels)))
+    for j, label in enumerate(pvm.labels):
+        if p[j] > EPS_PROB:
+            branch = evolve(collapse(state, pvm, label), u)
+            rows[j] = born_distribution(branch, post).probabilities
+    return p, rows
+
+
 def tensor(left: PureState, right: PureState) -> BipartiteState:
     """Product state, row-major in (left, right) subsystem order."""
     return BipartiteState(left.basis_labels, right.basis_labels,
                           np.kron(left.amplitudes, right.amplitudes))
-
-
-def measure_subsystem(
-    bi: BipartiteState, pvm: ProjectiveMeasurement, side: Side
-) -> list[tuple[str, float, BipartiteState | None]]:
-    """Measure one side of a bipartite state.
-
-    Returns (label, probability, conditional state) for every outcome in
-    PVM order; outcomes with probability at or below EPS_PROB carry no
-    conditional state.
-    """
-    dl, dr = bi.dims
-    _require_same_dim(pvm.dim, dl if side == "left" else dr, "measurement vs side")
-    table = bi.amplitudes.reshape(dl, dr)
-    results: list[tuple[str, float, BipartiteState | None]] = []
-    for label, p in pvm.outcomes:
-        projected = p @ table if side == "left" else table @ p.T
-        weight = float(np.real(np.sum(projected.conj() * projected)))
-        if weight <= EPS_PROB:
-            results.append((label, max(0.0, weight), None))
-        else:
-            cond = BipartiteState(bi.left_labels, bi.right_labels,
-                                  projected.reshape(-1) / np.sqrt(weight))
-            results.append((label, weight, cond))
-    return results
 
 
 def reduced_density(bi: BipartiteState, side: Side) -> DensityMatrix:

@@ -35,6 +35,7 @@ from .abl import (
     post_outcome_distribution,
 )
 from .core import (
+    EPS_COTEN,
     EPS_NORM,
     EPS_PROB,
     Distribution,
@@ -43,15 +44,11 @@ from .core import (
     ProjectiveMeasurement,
     Stage,
     born_distribution,
-    collapse,
+    branch_distributions,
     evolve,
     total_variation,
 )
 from .ensemble import Protocol
-
-# Disturbance at or below this counts as no disturbance; all comparisons
-# here are analytic at small dimension.
-EPS_COTEN = 1e-10
 
 
 class Flavor(str, Enum):
@@ -155,15 +152,9 @@ def _joint_world_table(stmt: CounterfactualStatement) -> np.ndarray:
     """Joint probabilities over (query outcome, final outcome) in the world
     where the query is actually measured."""
     p = stmt.base_protocol
-    at_t = evolve(p.preparation, p.pre_to_t)
-    q_weights = born_distribution(at_t, stmt.query).probabilities
-    table = np.zeros((len(stmt.query.labels), len(p.post_pvm.labels)))
-    for j, label in enumerate(stmt.query.labels):
-        if q_weights[j] <= EPS_PROB:
-            continue
-        branch = evolve(collapse(at_t, stmt.query, label), p.t_to_post)
-        table[j] = q_weights[j] * born_distribution(branch, p.post_pvm).probabilities
-    return table
+    q_weights, rows = branch_distributions(evolve(p.preparation, p.pre_to_t),
+                                           stmt.query, p.t_to_post, p.post_pvm)
+    return q_weights[:, None] * rows
 
 
 def counterfactual_distribution(stmt: CounterfactualStatement) -> Distribution:

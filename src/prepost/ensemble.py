@@ -16,8 +16,6 @@ not depend on the number of trials.
 """
 from __future__ import annotations
 
-import csv
-import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Sequence
@@ -37,7 +35,7 @@ from .core import (
     UnitaryOp,
     UnitaryStage,
     born_distribution,
-    collapse,
+    branch_distributions,
     evolve,
     stage_from_json,
     stage_to_json,
@@ -142,13 +140,6 @@ class Protocol:
 
 
 @dataclass(frozen=True, slots=True)
-class TrialRecord:
-    trial_index: int
-    intermediate_outcome: str | None
-    final_outcome: str
-
-
-@dataclass(frozen=True, slots=True)
 class EmpiricalDistribution:
     """Frequencies plus the sample size they were computed from."""
     distribution: Distribution
@@ -224,22 +215,6 @@ class EnsembleStats:
                        for m, f in self.ordered_keys()],
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["intermediate_outcome", "final_outcome", "count"])
-        for m, f in self.ordered_keys():
-            writer.writerow(["" if m is None else m, f,
-                             self.counts.get((m, f), 0)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EnsembleStats":
-        counts = {(row["intermediate"], row["final"]): int(row["count"])
-                  for row in data["counts"]}
-        return cls(Protocol.from_json_dict(data["protocol"]),
-                   int(data["trials"]), int(data["seed"]), counts)
-
 
 def _clean_cdf(probs: np.ndarray) -> np.ndarray:
     """CDF with numerically-zero branches given zero-width intervals.
@@ -273,29 +248,23 @@ def _branch_table(protocol: Protocol, trials: int, seed: int
     at_t = evolve(protocol.preparation, protocol.pre_to_t)
     post = protocol.post_pvm
     n_final = len(post.labels)
-
-    def final_cdf(state: PureState) -> np.ndarray:
-        dist = born_distribution(evolve(state, protocol.t_to_post), post)
-        return _clean_cdf(dist.probabilities)
-
     stage = protocol.intermediate
     if isinstance(stage, UnitaryStage):
         at_t = evolve(at_t, stage.unitary)
     if not protocol.intermediate_labels:
-        return (None,), np.array([1.0]), final_cdf(at_t).reshape(1, -1)
+        final = born_distribution(evolve(at_t, protocol.t_to_post), post)
+        return (None,), np.array([1.0]), _clean_cdf(final.probabilities).reshape(1, -1)
 
     q = stage.pvm
-    branch_probs = born_distribution(at_t, q).probabilities
-    finals = np.zeros((len(q.labels), n_final))
+    branch_probs, rows = branch_distributions(at_t, q, protocol.t_to_post, post)
+    # An unreachable branch keeps a row of ones; it is never consulted.
+    finals = np.ones((len(q.labels), n_final))
     for k, label in enumerate(q.labels):
         if isinstance(stage, FilterStage) and label != stage.pass_label:
             # Absorbed branch: the final outcome is the absorb label itself.
             finals[k] = _clean_cdf(np.eye(n_final)[post.index(stage.absorb_label)])
-        elif branch_probs[k] <= EPS_PROB:
-            # Unreachable branch; the row is never consulted.
-            finals[k] = np.ones(n_final)
-        else:
-            finals[k] = final_cdf(collapse(at_t, q, label))
+        elif branch_probs[k] > EPS_PROB:
+            finals[k] = _clean_cdf(rows[k])
     return q.labels, _clean_cdf(branch_probs), finals
 
 
@@ -415,15 +384,6 @@ def outcome_count_histogram(protocol: Protocol, label: str, trials: int,
     table = _run_chunks(trials, workers, count)
     return table[:n_hist], _ensemble_stats(protocol, trials, seeds[0], mids,
                                            table[n_hist:])
-
-
-def trial_records(protocol: Protocol, trials: int, seed: int) -> list[TrialRecord]:
-    """Per-trial records, consistent with run_ensemble for the same seed."""
-    mid_labels, final_labels = trial_outcome_labels(protocol, trials, seed)
-    if mid_labels is None:
-        mid_labels = [None] * trials
-    return [TrialRecord(i, m, f)
-            for i, (m, f) in enumerate(zip(mid_labels, final_labels))]
 
 
 def conditional_frequencies(stats: EnsembleStats, condition: str) -> EmpiricalDistribution:

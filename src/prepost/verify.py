@@ -22,7 +22,9 @@ import numpy as np
 
 from .abl import ImpossiblePostSelection, SelectionContext, abl_distribution, post_outcome_distribution
 from .core import (
+    EPS_COTEN,
     EPS_PROB,
+    EPS_VERIFY as TOLERANCE,
     Distribution,
     ProjectiveMeasurement,
     PureState,
@@ -31,7 +33,6 @@ from .core import (
     evolve,
 )
 from .counterfactual import (
-    EPS_COTEN,
     Classification,
     CounterfactualStatement,
     Flavor,
@@ -41,7 +42,6 @@ from .counterfactual import (
 from .ensemble import Protocol
 from .scenarios import available_scenarios, run_scenario
 
-TOLERANCE = 1e-10
 DIMS = (2, 3, 4)
 MAX_RESAMPLES = 100
 

@@ -87,6 +87,16 @@ class TestScenario:
                               "--format", "csv")
         assert out == again
 
+    def test_csv_leaves_a_missing_intermediate_blank(self, capsys):
+        code, out, _ = run_cli(capsys, "scenario", "crossed_polarizers",
+                               "--trials", "1000", "--format", "csv")
+        assert code == 0
+        direct = [line for line in out.splitlines()
+                  if line.startswith("direct_ensemble,")]
+        assert direct
+        assert all(line.startswith("direct_ensemble,,") for line in direct)
+        assert sum(int(line.rsplit(",", 1)[1]) for line in direct) == 1000
+
     def test_params_are_forwarded(self, capsys):
         code, out, _ = run_cli(capsys, "scenario", "three_box",
                                "--params", '{"query_box": "B"}',
@@ -188,6 +198,19 @@ class TestEvaluate:
         code, out, err = run_cli(capsys, "evaluate", "--config", str(bad))
         assert code == 2
         assert "non-finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("stage", [[1], "measure"])
+    def test_stage_that_is_not_an_object_is_an_input_error(self, capsys,
+                                                           tmp_path, stage):
+        data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
+        data["base_protocol"]["intermediate"] = stage
+        bad = tmp_path / "bad_stage.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(bad))
+        assert code == 2
+        assert "intermediate stage must be a JSON object or null" in err
+        assert len(err.strip().splitlines()) == 1
         assert out == ""
 
     def test_csv_is_not_offered(self, capsys):

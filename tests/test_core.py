@@ -27,10 +27,10 @@ from prepost.core import (
     ZeroProbabilityOutcome,
     axis_pvm,
     born_distribution,
+    branch_distributions,
     collapse,
     embed_pvm,
     evolve,
-    measure_subsystem,
     reduced_density,
     tensor,
     total_variation,
@@ -226,6 +226,29 @@ class TestCollapse:
             collapse(z_plus(), sigma_z(), "sideways")
 
 
+class TestBranchDistributions:
+    def test_rows_follow_each_branch(self):
+        p, rows = branch_distributions(z_plus(), sigma_x(), UnitaryOp.identity(2),
+                                       sigma_z())
+        assert np.allclose(p, [0.5, 0.5], atol=EPS_NORM)
+        assert np.allclose(rows, [[0.5, 0.5], [0.5, 0.5]], atol=EPS_NORM)
+
+    def test_zero_weight_outcome_gets_a_zero_row_and_no_collapse(self, monkeypatch):
+        collapsed = []
+
+        def spy(state, pvm, label):
+            collapsed.append(label)
+            return collapse(state, pvm, label)
+
+        monkeypatch.setattr("prepost.core.collapse", spy)
+        p, rows = branch_distributions(z_plus(), sigma_z(), UnitaryOp.identity(2),
+                                       sigma_x())
+        assert p[1] == 0.0
+        assert collapsed == ["z+"]
+        assert np.array_equal(rows[1], [0.0, 0.0])
+        assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
+
+
 class TestEvolve:
     def flip(self) -> UnitaryOp:
         # ready -> (heads + tails)/sqrt(2); the rest completes the unitary.
@@ -271,37 +294,6 @@ class TestTensorAndBipartite:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             BipartiteState(("0", "1"), ("0", "1"), [1.0, 1.0, 0.0, 0.0])
-
-
-class TestMeasureSubsystem:
-    def test_singlet_left_z_is_anticorrelated(self):
-        results = measure_subsystem(singlet(), sigma_z(), "left")
-        by_label = {label: (p, cond) for label, p, cond in results}
-        assert abs(by_label["z+"][0] - 0.5) <= EPS_NORM
-        assert abs(by_label["z-"][0] - 0.5) <= EPS_NORM
-        assert np.allclose(np.abs(by_label["z+"][1].amplitudes), [0, 1, 0, 0], atol=EPS_NORM)
-        assert np.allclose(np.abs(by_label["z-"][1].amplitudes), [0, 0, 1, 0], atol=EPS_NORM)
-
-    def test_singlet_left_x_is_anticorrelated(self):
-        results = measure_subsystem(singlet(), sigma_x(), "left")
-        by_label = {label: (p, cond) for label, p, cond in results}
-        x_plus_minus = np.array([0.5, -0.5, 0.5, -0.5])
-        assert abs(by_label["x+"][0] - 0.5) <= EPS_NORM
-        overlap = np.vdot(x_plus_minus, by_label["x+"][1].amplitudes)
-        assert abs(abs(overlap) - 1.0) <= EPS_NORM
-
-    def test_product_eigenstate_has_certain_outcome(self):
-        bi = tensor(z_plus(), z_plus())
-        results = measure_subsystem(bi, sigma_z(), "left")
-        by_label = {label: (p, cond) for label, p, cond in results}
-        assert abs(by_label["z+"][0] - 1.0) <= EPS_NORM
-        assert by_label["z-"][0] <= EPS_NORM
-        assert by_label["z-"][1] is None
-
-    def test_right_side_measurement(self):
-        results = measure_subsystem(singlet(), sigma_z(), "right")
-        probs = sorted(p for _, p, _ in results)
-        assert np.allclose(probs, [0.5, 0.5], atol=EPS_NORM)
 
 
 class TestReducedDensity:
@@ -372,11 +364,6 @@ class TestDistribution:
         q = Distribution([("b", 1.0)])
         with pytest.raises(ValueError):
             total_variation(p, q)
-
-    def test_json_round_trip(self):
-        d = Distribution([("a", 0.3), ("b", 0.7)])
-        back = Distribution.from_json_dict(d.to_json_dict())
-        assert back.entries == d.entries
 
 
 class TestEmbedPvm:

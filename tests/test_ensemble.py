@@ -35,13 +35,11 @@ from prepost.ensemble import (
     EmpiricalDistribution,
     EnsembleStats,
     Protocol,
-    TrialRecord,
     agreement_check,
     conditional_frequencies,
     outcome_count_histogram,
     run_ensemble,
     trial_outcome_labels,
-    trial_records,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -286,23 +284,23 @@ class TestBoundedMemory:
         assert large <= 4 * CHUNK_BYTES
 
 
-class TestTrialRecords:
-    def test_records_match_counts(self):
+class TestTrialOutcomeLabels:
+    def test_labels_tally_to_the_ensemble_counts(self):
         proto = aad_protocol()
-        records = trial_records(proto, 2000, seed=3)
+        mids, finals = trial_outcome_labels(proto, 2000, seed=3)
         stats = run_ensemble(proto, 2000, seed=3)
-        assert len(records) == 2000
-        assert records[0].trial_index == 0
+        assert len(mids) == len(finals) == 2000
         tally: dict = {}
-        for r in records:
-            key = (r.intermediate_outcome, r.final_outcome)
+        for key in zip(mids, finals):
             tally[key] = tally.get(key, 0) + 1
+        assert sum(tally.values()) == sum(stats.counts.values())
         for key, count in stats.counts.items():
             assert tally.get(key, 0) == count
 
     def test_no_intermediate_outcome_recorded_without_a_measurement(self):
-        records = trial_records(crossed_protocol(), 100, seed=1)
-        assert all(r.intermediate_outcome is None for r in records)
+        mids, finals = trial_outcome_labels(crossed_protocol(), 100, seed=1)
+        assert mids is None
+        assert len(finals) == 100
 
 
 class TestConditionalFrequencies:
@@ -358,18 +356,6 @@ class TestAgreementCheck:
 
 
 class TestSerialization:
-    def test_csv_has_expected_columns_and_total(self):
-        stats = run_ensemble(aad_protocol(), 1000, seed=13)
-        lines = stats.to_csv().strip().split("\n")
-        assert lines[0] == "intermediate_outcome,final_outcome,count"
-        total = sum(int(row.rsplit(",", 1)[1]) for row in lines[1:])
-        assert total == 1000
-
-    def test_csv_blank_intermediate_for_stageless_protocol(self):
-        stats = run_ensemble(crossed_protocol(), 100, seed=13)
-        lines = stats.to_csv().strip().split("\n")
-        assert lines[1].startswith(",")
-
     def test_json_includes_provenance(self):
         stats = run_ensemble(aad_protocol(), 1000, seed=13)
         data = stats.to_json_dict()

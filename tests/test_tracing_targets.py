@@ -1,0 +1,32 @@
+"""The benchmark's tracer must find every callable it wraps.
+
+``benchmarks/tracing.py`` replaces each entry of its TARGETS table on the
+package at run time; an entry that no longer resolves breaks every traced
+benchmark run. This test only reads that table.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+
+def _targets() -> tuple:
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("name, module, cls_name, attr", _targets())
+def test_target_resolves_on_the_package(name, module, cls_name, attr):
+    owner = importlib.import_module(f"prepost.{module}")
+    if cls_name is not None:
+        # The tracer replaces the attribute in the class's own namespace.
+        owner = getattr(owner, cls_name)
+        assert attr in vars(owner), name
+    assert callable(getattr(owner, attr)), name

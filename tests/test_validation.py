@@ -66,6 +66,8 @@ class TestPvmRejections:
          "projector for 'm' is not square"),
         ([("m", np.zeros(2)), ("n", E1)], ValueError,
          "projector for 'm' is not square"),
+        ([("m", np.zeros((0, 0)))], ValueError,
+         r"projector for 'm' is empty \(0x0\)"),
         ([("m", E0), ("n", np.eye(3))], DimensionMismatch,
          "projectors have mixed dimensions"),
         ([("m", np.array([[1.0, 1.0], [0.0, 0.0]])),
@@ -145,6 +147,10 @@ class TestUnitaryValidation:
         with pytest.raises(ValueError, match="must be square"):
             UnitaryOp(np.zeros((2, 3)))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"unitary matrix is empty \(0x0\)"):
+            UnitaryOp(np.zeros((0, 0)))
+
     def test_tolerance_edge(self):
         # U^dagger U differs from the identity by delta in one entry.
         UnitaryOp(np.diag([1.0, np.sqrt(1.0 + UNDER)]))
@@ -156,6 +162,10 @@ class TestDensityMatrixValidation:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
             DensityMatrix(np.zeros((2, 3)))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"density matrix is empty \(0x0\)"):
+            DensityMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("family, message", [
         (lambda d: [[0.5, d], [0.0, 0.5]], "not Hermitian"),
