@@ -9,6 +9,7 @@ freely between threads.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -28,6 +29,7 @@ EPS_COTEN = 1e-10
 EPS_VERIFY = 1e-10
 
 Side = Literal["left", "right"]
+_JSON_NUMBERS = frozenset({int, float})  # exact types: a JSON true is a bool, an int
 
 
 class DimensionMismatch(ValueError):
@@ -38,25 +40,39 @@ class ZeroProbabilityOutcome(ValueError):
     """Collapse was requested onto an outcome of numerically zero probability."""
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _complex_to_json(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [_complex_pair(z) for z in v]
+def _complex_list(data, what: str) -> list[complex]:
+    """JSON [re, im] number pairs as complex values; names the first bad one."""
+    if type(data) is not list:
+        raise ValueError(f"{what} must be a list, got {json.dumps(data, default=repr)}")
+    try:
+        out = [complex(re, im) for re, im in data
+               if type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS]
+    except (TypeError, ValueError):
+        out = []
+    for k, z in enumerate(data if len(out) < len(data) else ()):
+        if type(z) is not list or len(z) != 2 or {type(z[0]), type(z[1])} - _JSON_NUMBERS:
+            raise ValueError(f"{what}[{k}] must be a [re, im] pair of numbers, "
+                             f"got {json.dumps(z, default=repr)}")
+    return out
 
 
-def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_pair(z) for z in row] for row in m]
-
-
-def _vector_from_json(data: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
-
-
-def _matrix_from_json(data: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data],
-                    dtype=complex)
+def _matrix_from_json(data, what: str) -> np.ndarray:
+    try:  # complex() rejects every non-number JSON value except true and false
+        m = np.array([[complex(re, im) for re, im in row if re is not True and re is not False
+                       and im is not True and im is not False] for row in data], dtype=complex)
+        if m.size == sum(map(len, data)):  # none dropped, so the rows were equal
+            return m
+    except (TypeError, ValueError):  # ValueError also for unequal rows
+        pass
+    if type(data) is not list:  # name the fault, row by row
+        raise ValueError(f"{what} must be a list, got {json.dumps(data, default=repr)}")
+    rows = [_complex_list(row, f"{what}[{i}]") for i, row in enumerate(data)]
+    i = next(i for i, row in enumerate(rows) if len(row) != len(rows[0]))
+    raise ValueError(f"{what}[{i}] has {len(rows[i])} entries, not {len(rows[0])}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -70,14 +86,15 @@ def _within_eps(a, b, axis=None):
     return np.abs(a - b).max(axis=axis, initial=0.0) <= EPS_NORM
 
 
-def _unit_vector(raw, what: str) -> np.ndarray:
-    v = np.asarray(raw, dtype=complex).reshape(-1).copy()
-    if not np.all(np.isfinite(v)):
+def _renormalised(x: np.ndarray, what: str) -> np.ndarray:
+    """Each row of x over its norm, taken as np.linalg.norm takes it: dots of
+    the strided .real/.imag views (a contiguous copy moves low-order bits)."""
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite amplitudes")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_REPAIR:
-        raise ValueError(f"{what} has norm {norm!r}, expected 1")
-    return v / norm
+    norms = np.sqrt(sum(r[:, None, :] @ r[:, :, None] for r in (x.real, x.imag)))[:, 0]
+    for norm in norms[np.abs(norms - 1.0) > NORM_REPAIR][:1]:
+        raise ValueError(f"{what} has norm {float(norm)!r}, expected 1")
+    return x / norms
 
 
 def _check_unique(labels: Sequence[str], what: str) -> tuple[str, ...]:
@@ -92,7 +109,7 @@ class PureState:
 
     def __init__(self, basis_labels: Sequence[str], amplitudes) -> None:
         labels = _check_unique(basis_labels, "basis")
-        amps = _unit_vector(amplitudes, "state vector")
+        amps = _renormalised(np.asarray(amplitudes, dtype=complex).reshape(1, -1), "state vector")[0]
         if amps.size != len(labels):
             raise DimensionMismatch(
                 f"{len(labels)} basis labels but {amps.size} amplitudes")
@@ -110,12 +127,12 @@ class PureState:
         return {
             "dim": self.dim,
             "basis_labels": list(self.basis_labels),
-            "amplitudes": _vector_to_json(self.amplitudes),
+            "amplitudes": _complex_to_json(self.amplitudes),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PureState":
-        state = cls(data["basis_labels"], _vector_from_json(data["amplitudes"]))
+        state = cls(data["basis_labels"], _complex_list(data["amplitudes"], "amplitudes"))
         if "dim" in data and int(data["dim"]) != state.dim:
             raise ValueError(f"declared dim {data['dim']} != {state.dim}")
         return state
@@ -159,7 +176,8 @@ class ProjectiveMeasurement:
                    for i, j in zip(*np.nonzero(~product_ok)) if i < j]
         if faults or not _within_eps(stack.sum(0), np.eye(dim)):
             raise ValueError((faults or ["projectors do not sum to the identity"])[0])
-        self.outcomes = tuple(zip(labels, _frozen(stack)))
+        self.stack = _frozen(stack)
+        self.outcomes = tuple(zip(labels, self.stack))
         self._index = {label: k for k, (label, _) in enumerate(self.outcomes)}
 
     @property
@@ -201,13 +219,17 @@ class ProjectiveMeasurement:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "outcomes": [{"label": label, "projector": _matrix_to_json(p)}
+            "outcomes": [{"label": label, "projector": _complex_to_json(p)}
                          for label, p in self.outcomes],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProjectiveMeasurement":
-        pvm = cls([(o["label"], _matrix_from_json(o["projector"]))
+        for k, o in enumerate(data["outcomes"]):
+            if type(o) is not dict or "label" not in o or "projector" not in o:
+                raise ValueError(f'outcomes[{k}] needs a "label" and a "projector"')
+        pvm = cls([(o["label"], _matrix_from_json(o["projector"],
+                                                  f"outcome {o['label']!r} projector"))
                    for o in data["outcomes"]])
         if "dim" in data and int(data["dim"]) != pvm.dim:
             raise ValueError(f"declared dim {data['dim']} != {pvm.dim}")
@@ -241,11 +263,11 @@ class UnitaryOp:
         return f"UnitaryOp(dim={self.dim})"
 
     def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "matrix": _matrix_to_json(self.matrix)}
+        return {"dim": self.dim, "matrix": _complex_to_json(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnitaryOp":
-        u = cls(_matrix_from_json(data["matrix"]))
+        u = cls(_matrix_from_json(data["matrix"], "unitary matrix"))
         if "dim" in data and int(data["dim"]) != u.dim:
             raise ValueError(f"declared dim {data['dim']} != {u.dim}")
         return u
@@ -258,7 +280,8 @@ class BipartiteState:
                  amplitudes) -> None:
         self.left_labels = _check_unique(left_labels, "left basis")
         self.right_labels = _check_unique(right_labels, "right basis")
-        amps = _unit_vector(amplitudes, "bipartite state vector")
+        amps = _renormalised(np.asarray(amplitudes, dtype=complex).reshape(1, -1),
+                             "bipartite state vector")[0]
         if amps.size != len(self.left_labels) * len(self.right_labels):
             raise DimensionMismatch(
                 f"expected {len(self.left_labels) * len(self.right_labels)} "
@@ -306,7 +329,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
     def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "matrix": _matrix_to_json(self.matrix)}
+        return {"dim": self.dim, "matrix": _complex_to_json(self.matrix)}
 
 
 class Distribution:
@@ -317,48 +340,49 @@ class Distribution:
     protocol stage that produces no outcomes.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("labels", "_probabilities")
 
     def __init__(self, entries: Sequence[tuple[str, float]]) -> None:
-        labels = _check_unique([label for label, _ in entries], "distribution")
+        self.labels = _check_unique([label for label, _ in entries], "distribution")
         probs = np.asarray([p for _, p in entries], dtype=float)
-        if not np.all(np.isfinite(probs)):
-            raise ValueError(f"non-finite probabilities: {probs}")
-        if probs.size:
-            if probs.min() < -EPS_NORM or probs.max() > 1.0 + EPS_NORM:
-                raise ValueError(f"probabilities outside [0, 1]: {probs}")
-            if abs(probs.sum() - 1.0) > EPS_NORM:
-                raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-            probs = np.clip(probs, 0.0, 1.0)
-        self.entries = tuple(zip(labels, (float(p) for p in probs)))
+        self._probabilities = tuple(_checked_rows(probs[None])[0].tolist() if probs.size else ())
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.labels, self._probabilities))
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.entries])
+        return np.array(self._probabilities)
 
     def probability(self, label: str) -> float:
-        for l, p in self.entries:
-            if l == label:
-                return p
+        if label in self.labels:
+            return self._probabilities[self.labels.index(label)]
         raise KeyError(f"no outcome {label!r} in {self.labels}")
 
     def __iter__(self):
-        return iter(self.entries)
+        return zip(self.labels, self._probabilities)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{l}: {p:.6f}" for l, p in self.entries)
+        inner = ", ".join(f"{l}: {p:.6f}" for l, p in self)
         return f"Distribution({{{inner}}})"
 
     def to_json_dict(self) -> dict:
-        return {"entries": [{"label": l, "probability": p}
-                            for l, p in self.entries]}
+        return {"entries": [{"label": l, "probability": p} for l, p in self]}
+
+
+def _checked_rows(probs: np.ndarray) -> np.ndarray:
+    """Each nonempty row of probs checked as a Distribution checks it, then clipped."""
+    finite, total = np.isfinite(probs).all(axis=1), probs.sum(axis=1)
+    outside = (probs.min(axis=1) < -EPS_NORM) | (probs.max(axis=1) > 1.0 + EPS_NORM)
+    for k in np.flatnonzero(~finite | outside | (np.abs(total - 1.0) > EPS_NORM))[:1]:
+        raise ValueError(f"non-finite probabilities: {probs[k]}" if not finite[k] else
+                         f"probabilities outside [0, 1]: {probs[k]}" if outside[k] else
+                         f"probabilities sum to {total[k]!r}, not 1")
+    return np.clip(probs, 0.0, 1.0)
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:
@@ -442,12 +466,28 @@ def _require_same_dim(a: int, b: int, what: str) -> None:
         raise DimensionMismatch(f"{what}: {a} != {b}")
 
 
-def born_distribution(state: PureState, pvm: ProjectiveMeasurement) -> Distribution:
-    """Outcome probabilities <psi|P|psi> for a projective measurement."""
+def _born_rows(x: np.ndarray, pvm: ProjectiveMeasurement) -> np.ndarray:
+    """<x|P|x> per state row x and projector P, floored as max(0.0, v) is."""
+    _require_same_dim(x.shape[1], pvm.dim, "state vs measurement")
+    v = (x.conj()[:, None, None, :] @ pvm.stack @ x[:, None, :, None])[..., 0, 0].real
+    return np.where(v > 0.0, v, 0.0)
+
+
+def _projected(state: PureState, pvm: ProjectiveMeasurement, which) -> np.ndarray:
+    """Rows P_j a / sqrt(<P_j a|P_j a>) for the outcome indices j in ``which``."""
     _require_same_dim(state.dim, pvm.dim, "state vs measurement")
-    v = state.amplitudes
-    probs = [max(0.0, float(np.real(v.conj() @ p @ v))) for _, p in pvm.outcomes]
-    return Distribution(list(zip(pvm.labels, probs)))
+    x = pvm.stack[which] @ state.amplitudes
+    weights = (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
+    for j in np.flatnonzero(weights <= EPS_PROB)[:1]:
+        raise ZeroProbabilityOutcome(
+            f"outcome {pvm.labels[which[j]]!r} has probability {float(weights[j])!r}")
+    return x / np.sqrt(weights)[:, None]
+
+
+def born_distribution(state: PureState, pvm: ProjectiveMeasurement) -> Distribution:
+    """Outcome probabilities <psi|P|psi>, stacked over ``pvm.stack``; bit-identical
+    to v.conj() @ p @ v per projector where BLAS runs the same gemv/dot kernels."""
+    return Distribution(list(zip(pvm.labels, _born_rows(state.amplitudes[None], pvm)[0])))
 
 
 def collapse(state: PureState, pvm: ProjectiveMeasurement,
@@ -457,14 +497,8 @@ def collapse(state: PureState, pvm: ProjectiveMeasurement,
     Raises ZeroProbabilityOutcome when the branch carries no weight; there
     is no state to collapse onto in that case.
     """
-    _require_same_dim(state.dim, pvm.dim, "state vs measurement")
-    p = pvm.projector(outcome_label)
-    projected = p @ state.amplitudes
-    weight = float(np.real(np.vdot(projected, projected)))
-    if weight <= EPS_PROB:
-        raise ZeroProbabilityOutcome(
-            f"outcome {outcome_label!r} has probability {weight!r}")
-    return PureState(state.basis_labels, projected / np.sqrt(weight))
+    return PureState(state.basis_labels,
+                     _projected(state, pvm, [pvm.index(outcome_label)])[0])
 
 
 def evolve(state: PureState, u: UnitaryOp) -> PureState:
@@ -482,13 +516,19 @@ def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
     onto outcome j and evolved by ``u``. Outcomes with p[j] <= EPS_PROB are
     not collapsed and get a zero row. The path weight through outcome j to
     final outcome k is p[j] * rows[j, k] (Aharonov, Bergmann & Lebowitz).
+
+    Stacked matmuls over all live branches, bit-identical to chaining
+    born_distribution, collapse, evolve and born_distribution per branch
+    where BLAS runs the same kernels for both forms and the norms use the
+    strided views (see _renormalised). Checks run stage by stage.
     """
-    p = born_distribution(state, pvm).probabilities
-    rows = np.zeros((len(p), len(post.labels)))
-    for j, label in enumerate(pvm.labels):
-        if p[j] > EPS_PROB:
-            branch = evolve(collapse(state, pvm, label), u)
-            rows[j] = born_distribution(branch, post).probabilities
+    p = _checked_rows(_born_rows(state.amplitudes[None], pvm))[0]
+    live = p > EPS_PROB
+    x = _renormalised(_projected(state, pvm, np.flatnonzero(live)), "state vector")
+    _require_same_dim(state.dim, u.dim, "state vs unitary")
+    x = _renormalised((u.matrix @ x[:, :, None])[:, :, 0], "state vector")
+    rows = np.zeros((len(p), len(post.stack)))
+    rows[live] = _checked_rows(_born_rows(x, post))
     return p, rows
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -213,12 +214,71 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert out == ""
 
+    @pytest.mark.parametrize("path, value, named", [
+        (("base_protocol", "preparation", "amplitudes"), [[1], [0, 0]], "amplitudes[0]"),
+        (("base_protocol", "preparation", "amplitudes"), None, "amplitudes must be a list"),
+        (("query", "outcomes", 0, "projector"), None, "outcome 'x+' projector"),
+        (("base_protocol", "preparation", "amplitudes"), [["1", 0], [0, 0]],
+         "amplitudes[0]"),
+        (("query", "outcomes", 0, "projector"), [[[1, 0], [0, 0]], [[0, 0]]],
+         "outcome 'x+' projector[1] has 1 entries, not 2"),
+        (("query", "outcomes", 0), {"projector": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+         'outcomes[0] needs a "label"'),
+        (("base_protocol", "preparation", "amplitudes"), [[True, 0], [0, 0]],
+         "amplitudes[0] must be a [re, im] pair of numbers, got [true, 0]"),
+    ], ids=["short_pair", "null_amplitudes", "null_projector", "string_entry",
+            "ragged_projector", "missing_label", "boolean_entry"])
+    def test_malformed_field_is_named_on_one_line(self, capsys, tmp_path, path,
+                                                  value, named):
+        data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad_field.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(bad))
+        assert code == 2
+        assert named in err
+        assert len(err.strip().splitlines()) == 1
+        assert out == ""
+
     def test_csv_is_not_offered(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--config",
                                str(CONFIG_DIR / "aad_single.json"),
                                "--format", "csv")
         assert code == 2
         assert err
+
+
+# sha256 prefixes of whole reports, pinned so that a change to how results
+# are stored or rendered cannot move a byte unnoticed.
+SMALL_VERIFY = ["verify", "--instances", "30", "--compound-instances", "12",
+                "--trials", "1500", "--seed", "3"]
+PINNED_REPORTS = {
+    **{f"scenario-{name}": (["scenario", name, "--trials", "2000", "--seed", "7",
+                             "--format", "json"], digest)
+       for name, digest in [("aad_dispersion_free", "1051222d3bad20ac"),
+                            ("three_box", "250075e4e85eca1d"),
+                            ("quantum_raffle", "9e436a85fe788dad"),
+                            ("crossed_polarizers", "b0dd1c51d9e72e1b"),
+                            ("epr_no_signaling", "af124bfacf4920cc"),
+                            ("epr_timelike_detection", "bbd043df9b05b368")]},
+    "verify-json": (SMALL_VERIFY + ["--format", "json"], "aeaf140d59399818"),
+    "verify-text": (SMALL_VERIFY + ["--format", "text"], "cae213f59a4fa9b6"),
+    "evaluate-json": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),
+                       "--format", "json"], "1468b497ff3ff517"),
+    "evaluate-text": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),
+                       "--format", "text"], "6bc02de2939acac3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(capsys, name):
+    argv, digest = PINNED_REPORTS[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestVerify:

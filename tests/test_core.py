@@ -1,6 +1,7 @@
 """State algebra tests: frozen values first, randomized properties after."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ from helpers import (
     assert_dist,
     born_oracle,
     collapse_oracle,
+    random_pvm_projectors,
     random_unit_vector,
     random_unitary,
 )
 from prepost.core import (
     EPS_NORM,
+    EPS_PROB,
     BipartiteState,
     DensityMatrix,
     DimensionMismatch,
@@ -233,20 +236,171 @@ class TestBranchDistributions:
         assert np.allclose(p, [0.5, 0.5], atol=EPS_NORM)
         assert np.allclose(rows, [[0.5, 0.5], [0.5, 0.5]], atol=EPS_NORM)
 
-    def test_zero_weight_outcome_gets_a_zero_row_and_no_collapse(self, monkeypatch):
-        collapsed = []
-
-        def spy(state, pvm, label):
-            collapsed.append(label)
-            return collapse(state, pvm, label)
-
-        monkeypatch.setattr("prepost.core.collapse", spy)
+    def test_zero_weight_outcome_gets_a_zero_row_and_no_collapse(self):
+        # Collapsing onto z- would raise; the routine must not attempt it.
+        with pytest.raises(ZeroProbabilityOutcome):
+            collapse(z_plus(), sigma_z(), "z-")
         p, rows = branch_distributions(z_plus(), sigma_z(), UnitaryOp.identity(2),
                                        sigma_x())
         assert p[1] == 0.0
-        assert collapsed == ["z+"]
         assert np.array_equal(rows[1], [0.0, 0.0])
         assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
+
+    def test_outcome_below_eps_prob_gets_a_zero_row(self):
+        state = PureState(("z+", "z-"), [math.sqrt(1.0 - 1e-13), math.sqrt(1e-13)])
+        p, rows = branch_distributions(state, sigma_z(), UnitaryOp.identity(2),
+                                       sigma_x())
+        assert 0.0 < p[1] <= EPS_PROB
+        assert np.array_equal(rows[1], [0.0, 0.0])
+        assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
+
+
+# The stacked kernels against the per-branch arithmetic they replaced. The
+# comparison is exact: the stacked matmuls run the same BLAS kernels as
+# these loops, so not even the last bit may move.
+
+def _loop_born(state: PureState, pvm: ProjectiveMeasurement) -> Distribution:
+    """born_distribution as one v.conj() @ p @ v per projector."""
+    v = state.amplitudes
+    probs = [max(0.0, float(np.real(v.conj() @ p @ v))) for _, p in pvm.outcomes]
+    return Distribution(list(zip(pvm.labels, probs)))
+
+
+def _loop_collapse(state: PureState, pvm: ProjectiveMeasurement,
+                   label: str) -> np.ndarray:
+    """collapse's amplitudes, projected, scaled and renormalised one by one."""
+    projected = pvm.projector(label) @ state.amplitudes
+    weight = float(np.real(np.vdot(projected, projected)))
+    if weight <= EPS_PROB:
+        raise ZeroProbabilityOutcome(f"outcome {label!r} has probability {weight!r}")
+    v = projected / np.sqrt(weight)
+    return v / float(np.linalg.norm(v))
+
+
+def _loop_branches(state, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
+    """branch_distributions as the per-branch chain of public calls."""
+    p = born_distribution(state, pvm).probabilities
+    rows = np.zeros((len(p), len(post.labels)))
+    for j, label in enumerate(pvm.labels):
+        if p[j] > EPS_PROB:
+            branch = evolve(collapse(state, pvm, label), u)
+            rows[j] = born_distribution(branch, post).probabilities
+    return p, rows
+
+
+def _result(fn, *args):
+    """fn's result, or the type and text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:  # ZeroProbabilityOutcome, DimensionMismatch too
+        return type(exc), str(exc)
+
+
+def _unvalidated_pvm(mats) -> ProjectiveMeasurement:
+    """A measurement built around the constructor, to feed in bad projectors."""
+    pvm = object.__new__(ProjectiveMeasurement)
+    pvm.stack = np.array(mats, dtype=complex)
+    pvm.outcomes = tuple((f"o{k}", p) for k, p in enumerate(pvm.stack))
+    pvm._index = {label: k for k, (label, _) in enumerate(pvm.outcomes)}
+    return pvm
+
+
+KERNEL_KINDS = ("rank1", "degenerate", "one_outcome", "basis", "near_eps")
+
+
+def _kernel_instance(seed: int):
+    """Seeded (state, pvm, u, post) at dims 2-8. The query PVM is rank-1,
+    degenerate, a single outcome, the basis itself, or rank-1 with a
+    completeness error just under EPS_NORM. The state is a basis vector
+    (exactly zero branches against the basis PVM), one with a 1e-13 branch,
+    or random."""
+    rng = np.random.default_rng(seed)
+    dim, kind = 2 + seed % 7, KERNEL_KINDS[seed // 7 % 5]
+    labels = tuple(f"s{k}" for k in range(dim))
+    if kind == "one_outcome":
+        mats = [np.eye(dim)]
+    elif kind == "basis":
+        mats = [np.diag(e) for e in np.eye(dim)]
+    elif kind == "near_eps":
+        mats = [np.outer(c, c.conj()) for c in random_unitary(rng, dim).T]
+        mats[0] = mats[0] * (1.0 + 0.8 * EPS_NORM / np.abs(mats[0]).max())
+    else:
+        mats = random_pvm_projectors(rng, dim, allow_degenerate=kind == "degenerate")
+    amps = [random_unit_vector(rng, dim), np.eye(dim)[int(rng.integers(dim))],
+            np.sqrt([1.0 - 1e-13, 1e-13] + [0.0] * (dim - 2))][seed // 35 % 3]
+    pvm = ProjectiveMeasurement([(f"q{k}", m) for k, m in enumerate(mats)])
+    post = ProjectiveMeasurement([(f"f{k}", m) for k, m in
+                                  enumerate(random_pvm_projectors(rng, dim))])
+    u = UnitaryOp(random_unitary(rng, dim) if seed % 3 else np.eye(dim))
+    return PureState(labels, amps), pvm, u, post, kind
+
+
+BAD_STACKS = {
+    "sum_two": [np.eye(2), np.eye(2)],
+    "outside": [3.0 * np.diag([1.0, 0.0]), np.diag([-2.0, 1.0])],
+    "infinite": [np.diag([np.inf, 0.0]), np.diag([0.0, 1.0])],
+    "nan": [np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])],
+    "overflow": [np.full((2, 2), 1e308), np.eye(2)],
+    "weightless_branch": [np.diag([1e-7, 0.0]), np.diag([1.0 - 1e-7, 1.0])],
+}
+
+
+class TestStackedKernels:
+    SEEDS = range(245)
+
+    def test_branch_distributions_equals_the_per_branch_loop(self):
+        zero_rows = tiny_rows = near_eps = 0
+        for seed in self.SEEDS:
+            state, pvm, u, post, kind = _kernel_instance(seed)
+            want = _result(_loop_branches, state, pvm, u, post)
+            got = _result(branch_distributions, state, pvm, u, post)
+            if isinstance(want[0], type):  # a near-EPS_NORM PVM can break a sum
+                assert got == want, seed
+                continue
+            (p, rows), (want_p, want_rows) = got, want
+            assert np.array_equal(p, want_p), seed
+            assert np.array_equal(rows, want_rows), seed
+            zero_rows += bool(np.any(p == 0.0))
+            tiny_rows += bool(np.any((p > 0.0) & (p <= EPS_PROB)))
+            if kind == "near_eps":
+                error = np.abs(pvm.stack.sum(0) - np.eye(pvm.dim)).max()
+                near_eps += 0.5 * EPS_NORM < error <= EPS_NORM
+        assert zero_rows >= 20 and tiny_rows >= 5 and near_eps >= 20
+
+    def test_born_collapse_and_evolve_equal_the_unstacked_arithmetic(self):
+        for seed in self.SEEDS:
+            state, pvm, u, post, _ = _kernel_instance(seed)
+            for m in (pvm, post):
+                got, want = _result(born_distribution, state, m), _result(_loop_born, state, m)
+                assert got == want if isinstance(want, tuple) else got.entries == want.entries
+            for label in pvm.labels:
+                got = _result(lambda: collapse(state, pvm, label).amplitudes)
+                want = _result(_loop_collapse, state, pvm, label)
+                assert type(got) is type(want) and np.array_equal(got, want), seed
+            v = u.matrix @ state.amplitudes
+            assert np.array_equal(evolve(state, u).amplitudes,
+                                  v / float(np.linalg.norm(v)))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_STACKS))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bad_rows_raise_as_the_loops_do(self, bad):
+        pvm = _unvalidated_pvm(BAD_STACKS[bad])
+        for state in (z_plus(), PureState(("z+", "z-"), [S2, S2])):
+            got, want = _result(born_distribution, state, pvm), _result(_loop_born, state, pvm)
+            if isinstance(want, Distribution):
+                assert got.entries == want.entries
+            else:
+                assert got == want
+            for args in ((pvm, UnitaryOp.identity(2), sigma_x()),
+                         (sigma_x(), UnitaryOp.identity(2), pvm),
+                         (sigma_x(), UnitaryOp.identity(3), sigma_z()),
+                         (sigma_x(), UnitaryOp.identity(2), box_pvm("A"))):
+                got = _result(branch_distributions, state, *args)
+                want = _result(_loop_branches, state, *args)
+                if isinstance(want[0], type):
+                    assert got == want
+                else:
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestEvolve:
@@ -348,6 +502,37 @@ class TestDistribution:
     def test_empty_distribution_is_allowed(self):
         d = Distribution([])
         assert d.entries == ()
+
+    def test_reads_back_as_labelled_pairs(self):
+        d = Distribution([("a", 0.25), ("b", 0.75)])
+        assert d.entries == (("a", 0.25), ("b", 0.75))
+        assert list(d) == [("a", 0.25), ("b", 0.75)]
+        assert len(d) == 2
+        assert d.labels == ("a", "b")
+        assert d.probability("b") == 0.75
+        assert repr(d) == "Distribution({a: 0.250000, b: 0.750000})"
+        assert json.dumps(d.to_json_dict()) == (
+            '{"entries": [{"label": "a", "probability": 0.25}, '
+            '{"label": "b", "probability": 0.75}]}')
+
+    def test_values_within_tolerance_are_clipped_to_plain_floats(self):
+        d = Distribution([("a", -1e-12), ("b", np.float64(1.0 + 1e-12))])
+        assert d.entries == (("a", 0.0), ("b", 1.0))
+        assert all(type(p) is float for _, p in d)
+
+    def test_probabilities_array_is_a_copy(self):
+        d = Distribution([("a", 0.25), ("b", 0.75)])
+        d.probabilities[0] = 0.5
+        arr = d.probabilities
+        arr[:] = 0.0
+        assert d.probability("a") == 0.25
+        assert np.array_equal(d.probabilities, [0.25, 0.75])
+
+    def test_has_no_instance_dict(self):
+        d = Distribution([("a", 1.0)])
+        assert not hasattr(d, "__dict__")
+        with pytest.raises(AttributeError):
+            d.extra = 1
 
     def test_total_variation(self):
         p = Distribution([("a", 1.0), ("b", 0.0)])
