@@ -44,35 +44,34 @@ def _complex_to_json(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _complex_list(data, what: str) -> list[complex]:
-    """JSON [re, im] number pairs as complex values; names the first bad one."""
+def _require_list(data, what: str) -> None:
     if type(data) is not list:
         raise ValueError(f"{what} must be a list, got {json.dumps(data, default=repr)}")
+
+
+def _complex_list(data, what: str) -> list[complex]:
+    """JSON [re, im] number pairs as complex values; names the first bad one."""
+    _require_list(data, what)
+    out = []
     try:
-        out = [complex(re, im) for re, im in data
-               if type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS]
-    except (TypeError, ValueError):
-        out = []
-    for k, z in enumerate(data if len(out) < len(data) else ()):
-        if type(z) is not list or len(z) != 2 or {type(z[0]), type(z[1])} - _JSON_NUMBERS:
-            raise ValueError(f"{what}[{k}] must be a [re, im] pair of numbers, "
-                             f"got {json.dumps(z, default=repr)}")
+        for k, z in enumerate(data):
+            if (type(z) is not list or len(z) != 2
+                    or type(z[0]) not in _JSON_NUMBERS or type(z[1]) not in _JSON_NUMBERS):
+                raise ValueError(f"{what}[{k}] must be a [re, im] pair of numbers, "
+                                 f"got {json.dumps(z, default=repr)}")
+            out.append(complex(*z))
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what}[{k}] holds a number too large for a float") from None
     return out
 
 
 def _matrix_from_json(data, what: str) -> np.ndarray:
-    try:  # complex() rejects every non-number JSON value except true and false
-        m = np.array([[complex(re, im) for re, im in row if re is not True and re is not False
-                       and im is not True and im is not False] for row in data], dtype=complex)
-        if m.size == sum(map(len, data)):  # none dropped, so the rows were equal
-            return m
-    except (TypeError, ValueError):  # ValueError also for unequal rows
-        pass
-    if type(data) is not list:  # name the fault, row by row
-        raise ValueError(f"{what} must be a list, got {json.dumps(data, default=repr)}")
+    _require_list(data, what)
     rows = [_complex_list(row, f"{what}[{i}]") for i, row in enumerate(data)]
-    i = next(i for i, row in enumerate(rows) if len(row) != len(rows[0]))
-    raise ValueError(f"{what}[{i}] has {len(rows[i])} entries, not {len(rows[0])}")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{what}[{i}] has {len(row)} entries, not {len(rows[0])}")
+    return np.array(rows, dtype=complex)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

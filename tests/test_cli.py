@@ -226,8 +226,13 @@ class TestEvaluate:
          'outcomes[0] needs a "label"'),
         (("base_protocol", "preparation", "amplitudes"), [[True, 0], [0, 0]],
          "amplitudes[0] must be a [re, im] pair of numbers, got [true, 0]"),
+        (("base_protocol", "preparation", "amplitudes"), [[10**400, 0], [0, 0]],
+         "amplitudes[0] holds a number too large for a float"),
+        (("query", "outcomes", 0, "projector"), [[[1, 0], [0, -10**400]], [[0, 0], [0, 0]]],
+         "outcome 'x+' projector[0][1] holds a number too large for a float"),
     ], ids=["short_pair", "null_amplitudes", "null_projector", "string_entry",
-            "ragged_projector", "missing_label", "boolean_entry"])
+            "ragged_projector", "missing_label", "boolean_entry", "huge_amplitude",
+            "huge_projector_entry"])
     def test_malformed_field_is_named_on_one_line(self, capsys, tmp_path, path,
                                                   value, named):
         data = json.loads((CONFIG_DIR / "aad_single.json").read_text())

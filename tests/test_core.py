@@ -20,6 +20,7 @@ from helpers import (
 from prepost.core import (
     EPS_NORM,
     EPS_PROB,
+    NORM_REPAIR,
     BipartiteState,
     DensityMatrix,
     DimensionMismatch,
@@ -255,36 +256,65 @@ class TestBranchDistributions:
         assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
 
 
-# The stacked kernels against the per-branch arithmetic they replaced. The
+# The stacked kernels against the per-branch arithmetic they replaced,
+# written out with no helper of the package: the dimension checks, the Born
+# sums, Distribution's checks and the renormalisation PureState ran. The
 # comparison is exact: the stacked matmuls run the same BLAS kernels as
 # these loops, so not even the last bit may move.
 
-def _loop_born(state: PureState, pvm: ProjectiveMeasurement) -> Distribution:
-    """born_distribution as one v.conj() @ p @ v per projector."""
-    v = state.amplitudes
-    probs = [max(0.0, float(np.real(v.conj() @ p @ v))) for _, p in pvm.outcomes]
-    return Distribution(list(zip(pvm.labels, probs)))
+def _loop_dim(a: int, b: int, what: str) -> None:
+    if a != b:
+        raise DimensionMismatch(f"{what}: {a} != {b}")
 
 
-def _loop_collapse(state: PureState, pvm: ProjectiveMeasurement,
-                   label: str) -> np.ndarray:
+def _loop_unit(v: np.ndarray) -> np.ndarray:
+    """v over np.linalg.norm(v), checked as PureState checked it."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector has non-finite amplitudes")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > NORM_REPAIR:
+        raise ValueError(f"state vector has norm {norm!r}, expected 1")
+    return v / norm
+
+
+def _loop_born(v: np.ndarray, pvm: ProjectiveMeasurement) -> tuple:
+    """born_distribution's entries: one v.conj() @ p @ v per projector, then
+    Distribution's checks and clip."""
+    _loop_dim(len(v), pvm.dim, "state vs measurement")
+    probs = np.array([max(0.0, float(np.real(v.conj() @ p @ v))) for _, p in pvm.outcomes])
+    if not np.all(np.isfinite(probs)):
+        raise ValueError(f"non-finite probabilities: {probs}")
+    if probs.min() < -EPS_NORM or probs.max() > 1.0 + EPS_NORM:
+        raise ValueError(f"probabilities outside [0, 1]: {probs}")
+    if abs(probs.sum() - 1.0) > EPS_NORM:
+        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+    return tuple(zip(pvm.labels, (float(p) for p in np.clip(probs, 0.0, 1.0))))
+
+
+def _loop_collapse(v: np.ndarray, pvm: ProjectiveMeasurement, label: str) -> np.ndarray:
     """collapse's amplitudes, projected, scaled and renormalised one by one."""
-    projected = pvm.projector(label) @ state.amplitudes
+    _loop_dim(len(v), pvm.dim, "state vs measurement")
+    projected = pvm.projector(label) @ v
     weight = float(np.real(np.vdot(projected, projected)))
     if weight <= EPS_PROB:
         raise ZeroProbabilityOutcome(f"outcome {label!r} has probability {weight!r}")
-    v = projected / np.sqrt(weight)
-    return v / float(np.linalg.norm(v))
+    return _loop_unit(projected / np.sqrt(weight))
+
+
+def _loop_evolve(v: np.ndarray, u: UnitaryOp) -> np.ndarray:
+    _loop_dim(len(v), u.dim, "state vs unitary")
+    return _loop_unit(u.matrix @ v)
 
 
 def _loop_branches(state, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
-    """branch_distributions as the per-branch chain of public calls."""
-    p = born_distribution(state, pvm).probabilities
+    """branch_distributions as the per-branch chain: Born weights, then
+    collapse, evolve and Born for each live branch."""
+    p = np.array([q for _, q in _loop_born(state.amplitudes, pvm)])
     rows = np.zeros((len(p), len(post.labels)))
     for j, label in enumerate(pvm.labels):
         if p[j] > EPS_PROB:
-            branch = evolve(collapse(state, pvm, label), u)
-            rows[j] = born_distribution(branch, post).probabilities
+            branch = _loop_evolve(_loop_collapse(state.amplitudes, pvm, label), u)
+            rows[j] = [q for _, q in _loop_born(branch, post)]
     return p, rows
 
 
@@ -371,26 +401,22 @@ class TestStackedKernels:
         for seed in self.SEEDS:
             state, pvm, u, post, _ = _kernel_instance(seed)
             for m in (pvm, post):
-                got, want = _result(born_distribution, state, m), _result(_loop_born, state, m)
-                assert got == want if isinstance(want, tuple) else got.entries == want.entries
+                got = _result(lambda: born_distribution(state, m).entries)
+                assert got == _result(_loop_born, state.amplitudes, m), seed
             for label in pvm.labels:
                 got = _result(lambda: collapse(state, pvm, label).amplitudes)
-                want = _result(_loop_collapse, state, pvm, label)
+                want = _result(_loop_collapse, state.amplitudes, pvm, label)
                 assert type(got) is type(want) and np.array_equal(got, want), seed
-            v = u.matrix @ state.amplitudes
             assert np.array_equal(evolve(state, u).amplitudes,
-                                  v / float(np.linalg.norm(v)))
+                                  _loop_evolve(state.amplitudes, u)), seed
 
     @pytest.mark.parametrize("bad", sorted(BAD_STACKS))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_bad_rows_raise_as_the_loops_do(self, bad):
         pvm = _unvalidated_pvm(BAD_STACKS[bad])
         for state in (z_plus(), PureState(("z+", "z-"), [S2, S2])):
-            got, want = _result(born_distribution, state, pvm), _result(_loop_born, state, pvm)
-            if isinstance(want, Distribution):
-                assert got.entries == want.entries
-            else:
-                assert got == want
+            got = _result(lambda: born_distribution(state, pvm).entries)
+            assert got == _result(_loop_born, state.amplitudes, pvm)
             for args in ((pvm, UnitaryOp.identity(2), sigma_x()),
                          (sigma_x(), UnitaryOp.identity(2), pvm),
                          (sigma_x(), UnitaryOp.identity(3), sigma_z()),
