@@ -1,7 +1,9 @@
 """Finite-dimensional complex state algebra for projective measurements.
 
 States, projective measurements (PVMs), unitaries, bipartite composition,
-and the Born/projection primitives the rest of the package builds on.
+the Born/projection primitives the rest of the package builds on, and the
+timeline of one experiment (Protocol), whose stages turn into branches in
+stage_branches alone.
 
 All types validate their invariants at construction time and are immutable
 afterwards; every operation is a pure function, so values can be shared
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -74,6 +77,12 @@ def _matrix_from_json(data, what: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _check_declared_dim(data: dict, dim: int) -> None:
+    """A declared "dim" must be the exact int the object was built with."""
+    if "dim" in data and (type(data["dim"]) is not int or data["dim"] != dim):
+        raise ValueError(f"declared dim {json.dumps(data['dim'], default=repr)} != {dim}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -131,9 +140,12 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PureState":
-        state = cls(data["basis_labels"], _complex_list(data["amplitudes"], "amplitudes"))
-        if "dim" in data and int(data["dim"]) != state.dim:
-            raise ValueError(f"declared dim {data['dim']} != {state.dim}")
+        labels = data["basis_labels"]
+        if type(labels) is not list or not all(type(l) is str for l in labels):
+            raise ValueError("basis_labels must be a list of strings, "
+                             f"got {json.dumps(labels, default=repr)}")
+        state = cls(labels, _complex_list(data["amplitudes"], "amplitudes"))
+        _check_declared_dim(data, state.dim)
         return state
 
 
@@ -177,13 +189,13 @@ class ProjectiveMeasurement:
             raise ValueError((faults or ["projectors do not sum to the identity"])[0])
         self.stack = _frozen(stack)
         self.outcomes = tuple(zip(labels, self.stack))
-        self._index = {label: k for k, (label, _) in enumerate(self.outcomes)}
+        self._index = {label: k for k, label in enumerate(labels)}
 
     @property
     def dim(self) -> int:
         return self.outcomes[0][1].shape[0]
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
 
@@ -230,8 +242,7 @@ class ProjectiveMeasurement:
         pvm = cls([(o["label"], _matrix_from_json(o["projector"],
                                                   f"outcome {o['label']!r} projector"))
                    for o in data["outcomes"]])
-        if "dim" in data and int(data["dim"]) != pvm.dim:
-            raise ValueError(f"declared dim {data['dim']} != {pvm.dim}")
+        _check_declared_dim(data, pvm.dim)
         return pvm
 
 
@@ -267,8 +278,7 @@ class UnitaryOp:
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnitaryOp":
         u = cls(_matrix_from_json(data["matrix"], "unitary matrix"))
-        if "dim" in data and int(data["dim"]) != u.dim:
-            raise ValueError(f"declared dim {data['dim']} != {u.dim}")
+        _check_declared_dim(data, u.dim)
         return u
 
 
@@ -458,6 +468,92 @@ def stage_from_json(data: dict | None) -> Stage:
     raise ValueError(f"unknown stage kind {kind!r}")
 
 
+class Protocol:
+    """The full timeline of one experiment: prepare, optional stage, measure.
+
+    ``selection`` names the final outcome used when conditioning the
+    ensemble afterwards; it does not affect sampling.
+    """
+
+    def __init__(self, preparation: PureState, post_pvm: ProjectiveMeasurement,
+                 intermediate: Stage = None,
+                 pre_to_t: UnitaryOp | None = None,
+                 t_to_post: UnitaryOp | None = None,
+                 selection: str | None = None) -> None:
+        dim = preparation.dim
+        if post_pvm.dim != dim:
+            raise ValueError(f"final measurement dim {post_pvm.dim} != {dim}")
+        if isinstance(intermediate, (MeasureStage, FilterStage)):
+            if intermediate.pvm.dim != dim:
+                raise ValueError(f"intermediate dim {intermediate.pvm.dim} != {dim}")
+        elif not isinstance(intermediate, (UnitaryStage, type(None))):
+            raise TypeError(f"not an intermediate stage: {intermediate!r}")
+        if isinstance(intermediate, FilterStage):
+            post_pvm.index(intermediate.absorb_label)  # KeyError if absent
+        stage_u = intermediate.unitary if isinstance(intermediate, UnitaryStage) else None
+        for u in (pre_to_t, stage_u, t_to_post):
+            if u is not None and u.dim != dim:
+                raise ValueError(f"unitary dim {u.dim} != {dim}")
+        if selection is not None:
+            post_pvm.index(selection)  # KeyError if absent
+        self.preparation = preparation
+        self.post_pvm = post_pvm
+        self.intermediate = intermediate
+        self.pre_to_t = pre_to_t if pre_to_t is not None else UnitaryOp.identity(dim)
+        self.t_to_post = t_to_post if t_to_post is not None else UnitaryOp.identity(dim)
+        self.selection = selection
+
+    @property
+    def dim(self) -> int:
+        return self.preparation.dim
+
+    @property
+    def intermediate_labels(self) -> tuple[str, ...]:
+        """Outcome labels the intermediate stage can record; empty when none."""
+        if isinstance(self.intermediate, (MeasureStage, FilterStage)):
+            return self.intermediate.pvm.labels
+        return ()
+
+    def __repr__(self) -> str:
+        return (f"Protocol(dim={self.dim}, intermediate={self.intermediate!r}, "
+                f"selection={self.selection!r})")
+
+    def to_json_dict(self) -> dict:
+        def unitary_or_null(u: UnitaryOp) -> dict | None:
+            # Identity evolution is the default; keep the echo compact.
+            if np.array_equal(u.matrix, np.eye(u.dim)):
+                return None
+            return u.to_json_dict()
+
+        return {
+            "preparation": self.preparation.to_json_dict(),
+            "intermediate": stage_to_json(self.intermediate),
+            "pre_to_t": unitary_or_null(self.pre_to_t),
+            "t_to_post": unitary_or_null(self.t_to_post),
+            "post_pvm": self.post_pvm.to_json_dict(),
+            "selection": self.selection,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "Protocol":
+        def unitary_or_none(key: str) -> UnitaryOp | None:
+            raw = data.get(key)
+            return None if raw is None else UnitaryOp.from_json_dict(raw)
+
+        selection = data.get("selection")
+        if selection is not None and type(selection) is not str:
+            raise ValueError("selection must be a string or null, "
+                             f"got {json.dumps(selection, default=repr)}")
+        return cls(
+            PureState.from_json_dict(data["preparation"]),
+            ProjectiveMeasurement.from_json_dict(data["post_pvm"]),
+            intermediate=stage_from_json(data.get("intermediate")),
+            pre_to_t=unitary_or_none("pre_to_t"),
+            t_to_post=unitary_or_none("t_to_post"),
+            selection=selection,
+        )
+
+
 # Operations.
 
 def _require_same_dim(a: int, b: int, what: str) -> None:
@@ -529,6 +625,31 @@ def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
     rows = np.zeros((len(p), len(post.stack)))
     rows[live] = _checked_rows(_born_rows(x, post))
     return p, rows
+
+
+def stage_branches(protocol: Protocol, stage: Stage
+                   ) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
+    """The branches of ``stage`` run in ``protocol``'s timeline, in place of
+    the protocol's own intermediate stage.
+
+    Returns (labels, p, rows): the branch labels, and p and rows as
+    branch_distributions gives them over the outcomes of protocol.post_pvm.
+    No stage or a UnitaryStage is the single branch None of weight 1.0. A MeasureStage or FilterStage has one branch
+    per outcome of its PVM; a filter's absorbed branches end at its
+    absorb_label with certainty, and an unreached branch keeps a zero row.
+    """
+    at_t = evolve(protocol.preparation, protocol.pre_to_t)
+    post = protocol.post_pvm
+    if stage is None or isinstance(stage, UnitaryStage):
+        if stage is not None:
+            at_t = evolve(at_t, stage.unitary)
+        final = evolve(at_t, protocol.t_to_post)
+        return (None,), np.array([1.0]), _checked_rows(_born_rows(final.amplitudes[None], post))
+    p, rows = branch_distributions(at_t, stage.pvm, protocol.t_to_post, post)
+    if isinstance(stage, FilterStage):
+        absorbed = np.arange(len(p)) != stage.pvm.index(stage.pass_label)
+        rows[absorbed] = np.eye(len(post.labels))[post.index(stage.absorb_label)]
+    return stage.pvm.labels, p, rows
 
 
 def tensor(left: PureState, right: PureState) -> BipartiteState:

@@ -26,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .abl import (
-    ImpossiblePostSelection,
-    SelectionContext,
-    abl_distribution,
-    post_outcome_distribution,
-)
+from .abl import ImpossiblePostSelection, abl_distribution, final_distribution
 from .core import (
     EPS_COTEN,
     EPS_NORM,
@@ -42,13 +35,13 @@ from .core import (
     FilterStage,
     MeasureStage,
     ProjectiveMeasurement,
+    Protocol,
     Stage,
     born_distribution,
-    branch_distributions,
     evolve,
+    stage_branches,
     total_variation,
 )
-from .ensemble import Protocol
 
 
 class Flavor(str, Enum):
@@ -85,11 +78,6 @@ class CounterfactualStatement:
         self.base_protocol = base_protocol
         self.query = query
         self.flavor = Flavor(flavor)
-
-    def context(self) -> SelectionContext:
-        p = self.base_protocol
-        return SelectionContext(p.preparation, p.post_pvm, p.selection,
-                                pre_to_t=p.pre_to_t, t_to_post=p.t_to_post)
 
     def __repr__(self) -> str:
         return (f"CounterfactualStatement(flavor={self.flavor.value!r}, "
@@ -148,15 +136,6 @@ class Verdict:
         }
 
 
-def _joint_world_table(stmt: CounterfactualStatement) -> np.ndarray:
-    """Joint probabilities over (query outcome, final outcome) in the world
-    where the query is actually measured."""
-    p = stmt.base_protocol
-    q_weights, rows = branch_distributions(evolve(p.preparation, p.pre_to_t),
-                                           stmt.query, p.t_to_post, p.post_pvm)
-    return q_weights[:, None] * rows
-
-
 def counterfactual_distribution(stmt: CounterfactualStatement) -> Distribution:
     """Query-outcome distribution in the hypothetical world the flavor picks.
 
@@ -167,10 +146,9 @@ def counterfactual_distribution(stmt: CounterfactualStatement) -> Distribution:
     """
     p = stmt.base_protocol
     if stmt.flavor is Flavor.SINGLE:
-        at_t = evolve(p.preparation, p.pre_to_t)
-        return born_distribution(at_t, stmt.query)
-    table = _joint_world_table(stmt)
-    column = table[:, p.post_pvm.index(p.selection)]
+        return born_distribution(evolve(p.preparation, p.pre_to_t), stmt.query)
+    _, q_weights, rows = stage_branches(p, MeasureStage(stmt.query))
+    column = q_weights * rows[:, p.post_pvm.index(p.selection)]
     total = column.sum()
     if total <= EPS_PROB:
         raise ImpossiblePostSelection(
@@ -197,12 +175,8 @@ def cotenability_report(base_protocol: Protocol,
         inserted = query
     else:
         raise TypeError(f"cannot insert {query!r} as an intervening stage")
-    undisturbed = post_outcome_distribution(
-        p.preparation, p.post_pvm, intermediate=p.intermediate,
-        pre_to_t=p.pre_to_t, t_to_post=p.t_to_post)
-    disturbed = post_outcome_distribution(
-        p.preparation, p.post_pvm, intermediate=inserted,
-        pre_to_t=p.pre_to_t, t_to_post=p.t_to_post)
+    undisturbed = final_distribution(p, p.intermediate)
+    disturbed = final_distribution(p, inserted)
     tvd = total_variation(undisturbed, disturbed)
     delta = disturbed.probability(p.selection) - undisturbed.probability(p.selection)
     return CotenabilityReport(undisturbed, disturbed, tvd, delta,
@@ -222,7 +196,7 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
       when the insertion is cotenable with the selection, TRIVIALLY_TRUE
       otherwise.
     """
-    claimed = abl_distribution(stmt.context(), stmt.query)
+    claimed = abl_distribution(stmt.base_protocol, stmt.query)
     world = counterfactual_distribution(stmt)
     deviation = total_variation(claimed, world)
     cotenable = cotenability_report(stmt.base_protocol, stmt.query).cotenable

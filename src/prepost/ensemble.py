@@ -23,23 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (
-    EPS_AGREE,
-    EPS_PROB,
-    Distribution,
-    FilterStage,
-    MeasureStage,
-    ProjectiveMeasurement,
-    PureState,
-    Stage,
-    UnitaryOp,
-    UnitaryStage,
-    born_distribution,
-    branch_distributions,
-    evolve,
-    stage_from_json,
-    stage_to_json,
-)
+from .core import EPS_AGREE, EPS_PROB, Distribution, Protocol, stage_branches
 
 
 # Trials per variate chunk. Even, because one Philox counter step yields the
@@ -55,88 +39,6 @@ class EmptySelection(ValueError):
     Distinct from the analytic ImpossiblePostSelection: this one is about a
     finite sample and reports the observed counts.
     """
-
-
-class Protocol:
-    """The full timeline of one experiment: prepare, optional stage, measure.
-
-    ``selection`` names the final outcome used when conditioning the
-    ensemble afterwards; it does not affect sampling.
-    """
-
-    def __init__(self, preparation: PureState, post_pvm: ProjectiveMeasurement,
-                 intermediate: Stage = None,
-                 pre_to_t: UnitaryOp | None = None,
-                 t_to_post: UnitaryOp | None = None,
-                 selection: str | None = None) -> None:
-        dim = preparation.dim
-        if post_pvm.dim != dim:
-            raise ValueError(f"final measurement dim {post_pvm.dim} != {dim}")
-        if isinstance(intermediate, (MeasureStage, FilterStage)):
-            if intermediate.pvm.dim != dim:
-                raise ValueError(f"intermediate dim {intermediate.pvm.dim} != {dim}")
-        elif not isinstance(intermediate, (UnitaryStage, type(None))):
-            raise TypeError(f"not an intermediate stage: {intermediate!r}")
-        if isinstance(intermediate, FilterStage):
-            post_pvm.index(intermediate.absorb_label)  # KeyError if absent
-        stage_u = intermediate.unitary if isinstance(intermediate, UnitaryStage) else None
-        for u in (pre_to_t, stage_u, t_to_post):
-            if u is not None and u.dim != dim:
-                raise ValueError(f"unitary dim {u.dim} != {dim}")
-        if selection is not None:
-            post_pvm.index(selection)  # KeyError if absent
-        self.preparation = preparation
-        self.post_pvm = post_pvm
-        self.intermediate = intermediate
-        self.pre_to_t = pre_to_t if pre_to_t is not None else UnitaryOp.identity(dim)
-        self.t_to_post = t_to_post if t_to_post is not None else UnitaryOp.identity(dim)
-        self.selection = selection
-
-    @property
-    def dim(self) -> int:
-        return self.preparation.dim
-
-    @property
-    def intermediate_labels(self) -> tuple[str, ...]:
-        """Outcome labels the intermediate stage can record; empty when none."""
-        if isinstance(self.intermediate, (MeasureStage, FilterStage)):
-            return self.intermediate.pvm.labels
-        return ()
-
-    def __repr__(self) -> str:
-        return (f"Protocol(dim={self.dim}, intermediate={self.intermediate!r}, "
-                f"selection={self.selection!r})")
-
-    def to_json_dict(self) -> dict:
-        def unitary_or_null(u: UnitaryOp) -> dict | None:
-            # Identity evolution is the default; keep the echo compact.
-            if np.array_equal(u.matrix, np.eye(u.dim)):
-                return None
-            return u.to_json_dict()
-
-        return {
-            "preparation": self.preparation.to_json_dict(),
-            "intermediate": stage_to_json(self.intermediate),
-            "pre_to_t": unitary_or_null(self.pre_to_t),
-            "t_to_post": unitary_or_null(self.t_to_post),
-            "post_pvm": self.post_pvm.to_json_dict(),
-            "selection": self.selection,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Protocol":
-        def unitary_or_none(key: str) -> UnitaryOp | None:
-            raw = data.get(key)
-            return None if raw is None else UnitaryOp.from_json_dict(raw)
-
-        return cls(
-            PureState.from_json_dict(data["preparation"]),
-            ProjectiveMeasurement.from_json_dict(data["post_pvm"]),
-            intermediate=stage_from_json(data.get("intermediate")),
-            pre_to_t=unitary_or_none("pre_to_t"),
-            t_to_post=unitary_or_none("t_to_post"),
-            selection=data.get("selection"),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,35 +139,17 @@ def _branch_table(protocol: Protocol, trials: int, seed: int
                   ) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
     """Check the run size and seed, then precompute per-branch sampling tables.
 
-    Returns (intermediate labels, branch CDF, per-branch final CDFs). For a
-    protocol without recordable intermediate outcomes there is a single
-    anonymous branch of probability one.
+    Returns (branch labels, branch CDF, per-branch final CDFs) over the
+    branches of core.stage_branches.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    at_t = evolve(protocol.preparation, protocol.pre_to_t)
-    post = protocol.post_pvm
-    n_final = len(post.labels)
-    stage = protocol.intermediate
-    if isinstance(stage, UnitaryStage):
-        at_t = evolve(at_t, stage.unitary)
-    if not protocol.intermediate_labels:
-        final = born_distribution(evolve(at_t, protocol.t_to_post), post)
-        return (None,), np.array([1.0]), _clean_cdf(final.probabilities).reshape(1, -1)
-
-    q = stage.pvm
-    branch_probs, rows = branch_distributions(at_t, q, protocol.t_to_post, post)
-    # An unreachable branch keeps a row of ones; it is never consulted.
-    finals = np.ones((len(q.labels), n_final))
-    for k, label in enumerate(q.labels):
-        if isinstance(stage, FilterStage) and label != stage.pass_label:
-            # Absorbed branch: the final outcome is the absorb label itself.
-            finals[k] = _clean_cdf(np.eye(n_final)[post.index(stage.absorb_label)])
-        elif branch_probs[k] > EPS_PROB:
-            finals[k] = _clean_cdf(rows[k])
-    return q.labels, _clean_cdf(branch_probs), finals
+    labels, p, rows = stage_branches(protocol, protocol.intermediate)
+    # An unreachable branch gets a row of ones; it is never consulted.
+    finals = np.array([_clean_cdf(row) if row.any() else np.ones(len(row)) for row in rows])
+    return labels, _clean_cdf(p), finals
 
 
 def _draw(branch_cdf: np.ndarray, final_cdfs: np.ndarray, seed: int,

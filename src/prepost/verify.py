@@ -157,22 +157,25 @@ def _rank1_post(rng: np.random.Generator, dim: int) -> tuple[ProjectiveMeasureme
     return ProjectiveMeasurement.binary_from_state(state, "sel", "rest"), "sel", b
 
 
-@dataclass
-class _Tally:
-    instances: int = 0
-    failures: int = 0
-    max_error: float = 0.0
+def _suite(name: str, instances: int, dims: tuple[int, ...], draw) -> SuiteResult:
+    """Tally ``instances`` instances, the k-th drawn in dimension dims[k % len(dims)].
 
-    def record(self, error: float, ok: bool | None = None) -> None:
-        self.instances += 1
-        self.max_error = max(self.max_error, error)
-        failed = (error > TOLERANCE) if ok is None else not ok
-        if failed:
-            self.failures += 1
-
-    def result(self, name: str) -> SuiteResult:
-        return SuiteResult(name, self.instances, self.failures,
-                           self.max_error, TOLERANCE)
+    draw(dim) returns (error, ok), or None to draw again. An instance fails
+    when error > TOLERANCE or when it is not ok.
+    """
+    failures, max_error = 0, 0.0
+    for k in range(instances):
+        for _ in range(MAX_RESAMPLES):
+            drawn = draw(dims[k % len(dims)])
+            if drawn is not None:
+                break
+        else:
+            raise RuntimeError("could not draw a usable instance")
+        error, ok = drawn
+        max_error = max(max_error, error)
+        if error > TOLERANCE or not ok:
+            failures += 1
+    return SuiteResult(name, instances, failures, max_error, TOLERANCE)
 
 
 def _max_gap(dist: Distribution, expected: dict[str, float]) -> float:
@@ -181,64 +184,49 @@ def _max_gap(dist: Distribution, expected: dict[str, float]) -> float:
 
 def _suite_sum_to_one(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 0)
-    tally = _Tally()
-    while tally.instances < instances:
-        dim = DIMS[tally.instances % len(DIMS)]
-        for _ in range(MAX_RESAMPLES):
-            pre = PureState(_labels(dim), _unit(rng, dim))
-            post = _pvm(rng, dim, "b")
-            label = post.labels[int(rng.integers(len(post.labels)))]
-            u = UnitaryOp(_unitary(rng, dim))
-            v = UnitaryOp(_unitary(rng, dim))
-            query = _pvm(rng, dim, "q")
-            try:
-                dist = abl_distribution(
-                    SelectionContext(pre, post, label, u, v), query)
-            except ImpossiblePostSelection:
-                continue
-            tally.record(abs(sum(p for _, p in dist) - 1.0))
-            break
-        else:
-            raise RuntimeError("could not draw a usable instance")
-    return tally.result("abl_sum_to_one")
+
+    def draw(dim: int):
+        pre = PureState(_labels(dim), _unit(rng, dim))
+        post = _pvm(rng, dim, "b")
+        label = post.labels[int(rng.integers(len(post.labels)))]
+        u = UnitaryOp(_unitary(rng, dim))
+        v = UnitaryOp(_unitary(rng, dim))
+        query = _pvm(rng, dim, "q")
+        try:
+            dist = abl_distribution(SelectionContext(pre, post, label, u, v), query)
+        except ImpossiblePostSelection:
+            return None
+        return abs(sum(p for _, p in dist) - 1.0), True
+    return _suite("abl_sum_to_one", instances, DIMS, draw)
 
 
 def _suite_time_symmetry(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 1)
-    tally = _Tally()
-    while tally.instances < instances:
-        dim = DIMS[tally.instances % len(DIMS)]
-        for _ in range(MAX_RESAMPLES):
-            a = _unit(rng, dim)
-            b = _unit(rng, dim)
-            query = _pvm(rng, dim, "q")
-            post_b = ProjectiveMeasurement.binary_from_state(
-                PureState(_labels(dim), b), "sel", "rest")
-            post_a = ProjectiveMeasurement.binary_from_state(
-                PureState(_labels(dim), a), "sel", "rest")
-            try:
-                forward = abl_distribution(
-                    SelectionContext(PureState(_labels(dim), a), post_b, "sel"),
-                    query)
-                backward = abl_distribution(
-                    SelectionContext(PureState(_labels(dim), b), post_a, "sel"),
-                    query)
-            except ImpossiblePostSelection:
-                continue
-            gap = max(abs(forward.probability(l) - backward.probability(l))
-                      for l in query.labels)
-            tally.record(gap)
-            break
-        else:
-            raise RuntimeError("could not draw a usable instance")
-    return tally.result("time_symmetry")
+
+    def draw(dim: int):
+        a = _unit(rng, dim)
+        b = _unit(rng, dim)
+        query = _pvm(rng, dim, "q")
+        post_b = ProjectiveMeasurement.binary_from_state(
+            PureState(_labels(dim), b), "sel", "rest")
+        post_a = ProjectiveMeasurement.binary_from_state(
+            PureState(_labels(dim), a), "sel", "rest")
+        try:
+            forward = abl_distribution(
+                SelectionContext(PureState(_labels(dim), a), post_b, "sel"), query)
+            backward = abl_distribution(
+                SelectionContext(PureState(_labels(dim), b), post_a, "sel"), query)
+        except ImpossiblePostSelection:
+            return None
+        return max(abs(forward.probability(l) - backward.probability(l))
+                   for l in query.labels), True
+    return _suite("time_symmetry", instances, DIMS, draw)
 
 
 def _suite_born_marginalization(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 2)
-    tally = _Tally()
-    while tally.instances < instances:
-        dim = DIMS[tally.instances % len(DIMS)]
+
+    def draw(dim: int):
         pre = PureState(_labels(dim), _unit(rng, dim))
         post = _pvm(rng, dim, "b")
         u = UnitaryOp(_unitary(rng, dim))
@@ -255,9 +243,8 @@ def _suite_born_marginalization(instances: int, seed: int) -> SuiteResult:
                 SelectionContext(pre, post, b_label, u, v), query)
             for q_label in query.labels:
                 mixed[q_label] += b_prob * cond.probability(q_label)
-        direct = born_distribution(evolve(pre, u), query)
-        tally.record(_max_gap(direct, mixed))
-    return tally.result("born_marginalization")
+        return _max_gap(born_distribution(evolve(pre, u), query), mixed), True
+    return _suite("born_marginalization", instances, DIMS, draw)
 
 
 def _brute_force_abl(a: np.ndarray, u: np.ndarray, q_projectors: list[np.ndarray],
@@ -272,61 +259,47 @@ def _brute_force_abl(a: np.ndarray, u: np.ndarray, q_projectors: list[np.ndarray
 
 def _suite_oracle_equivalence(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 3)
-    tally = _Tally()
-    while tally.instances < instances:
-        dim = DIMS[tally.instances % len(DIMS)]
-        for _ in range(MAX_RESAMPLES):
-            a = _unit(rng, dim)
-            u = _unitary(rng, dim)
-            v = _unitary(rng, dim)
-            query = _pvm(rng, dim, "q")
-            post, label, b = _rank1_post(rng, dim)
-            try:
-                dist = abl_distribution(
-                    SelectionContext(PureState(_labels(dim), a), post, label,
-                                     UnitaryOp(u), UnitaryOp(v)),
-                    query)
-            except ImpossiblePostSelection:
-                continue
-            expected = _brute_force_abl(
-                a, u, [query.projector(l) for l in query.labels], v,
-                np.outer(b, b.conj()))
-            gap = max(abs(dist.probability(l) - e)
-                      for l, e in zip(query.labels, expected))
-            tally.record(gap)
-            break
-        else:
-            raise RuntimeError("could not draw a usable instance")
-    return tally.result("oracle_equivalence")
+
+    def draw(dim: int):
+        a = _unit(rng, dim)
+        u = _unitary(rng, dim)
+        v = _unitary(rng, dim)
+        query = _pvm(rng, dim, "q")
+        post, label, b = _rank1_post(rng, dim)
+        try:
+            dist = abl_distribution(
+                SelectionContext(PureState(_labels(dim), a), post, label,
+                                 UnitaryOp(u), UnitaryOp(v)),
+                query)
+        except ImpossiblePostSelection:
+            return None
+        expected = _brute_force_abl(
+            a, u, [query.projector(l) for l in query.labels], v,
+            np.outer(b, b.conj()))
+        return max(abs(dist.probability(l) - e)
+                   for l, e in zip(query.labels, expected)), True
+    return _suite("oracle_equivalence", instances, DIMS, draw)
 
 
 def _suite_compound_triviality(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 4)
-    tally = _Tally()
-    dims = (2, 3)
-    while tally.instances < instances:
-        dim = dims[tally.instances % len(dims)]
-        for _ in range(MAX_RESAMPLES):
-            pre = PureState(_labels(dim), _unit(rng, dim))
-            post = _pvm(rng, dim, "b", allow_degenerate=False)
-            label = post.labels[int(rng.integers(len(post.labels)))]
-            query = _pvm(rng, dim, "q")
-            base = Protocol(pre, post, selection=label)
-            try:
-                verdict = evaluate(
-                    CounterfactualStatement(base, query, Flavor.COMPOUND))
-            except ImpossiblePostSelection:
-                continue
-            coten = cotenability_report(base, query)
-            consistent = (
-                (verdict.classification is Classification.NONTRIVIALLY_TRUE)
-                == (coten.tvd <= EPS_COTEN))
-            tally.record(verdict.max_deviation,
-                         ok=verdict.max_deviation <= TOLERANCE and consistent)
-            break
-        else:
-            raise RuntimeError("could not draw a usable instance")
-    return tally.result("compound_triviality")
+
+    def draw(dim: int):
+        pre = PureState(_labels(dim), _unit(rng, dim))
+        post = _pvm(rng, dim, "b", allow_degenerate=False)
+        label = post.labels[int(rng.integers(len(post.labels)))]
+        query = _pvm(rng, dim, "q")
+        base = Protocol(pre, post, selection=label)
+        try:
+            verdict = evaluate(CounterfactualStatement(base, query, Flavor.COMPOUND))
+        except ImpossiblePostSelection:
+            return None
+        coten = cotenability_report(base, query)
+        consistent = (
+            (verdict.classification is Classification.NONTRIVIALLY_TRUE)
+            == (coten.tvd <= EPS_COTEN))
+        return verdict.max_deviation, verdict.max_deviation <= TOLERANCE and consistent
+    return _suite("compound_triviality", instances, (2, 3), draw)
 
 
 def run_verification(instances: int = 500, compound_instances: int = 200,

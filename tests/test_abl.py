@@ -25,6 +25,7 @@ from prepost.core import (
     FilterStage,
     MeasureStage,
     ProjectiveMeasurement,
+    Protocol,
     PureState,
     UnitaryOp,
     UnitaryStage,
@@ -150,6 +151,29 @@ class TestSequenceProbability:
             ctx = SelectionContext(a, post, post_label)
             total += sum(sequence_probability(ctx, (q, ql)) for ql in q.labels)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestProtocolTimeline:
+    def test_selection_context_is_a_protocol(self):
+        ctx = aad_context()
+        assert isinstance(ctx, Protocol)
+        assert (ctx.intermediate, ctx.selection) == (None, "x+")
+
+    def test_query_replaces_the_protocols_intermediate_stage(self):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        a, b = three_box_states()
+        post = ProjectiveMeasurement.binary_from_state(b, "b", "not_b")
+        u, v = UnitaryOp(random_unitary(rng, 3)), UnitaryOp(random_unitary(rng, 3))
+        ctx = SelectionContext(a, post, "b", pre_to_t=u, t_to_post=v)
+        protocol = Protocol(a, post, intermediate=MeasureStage(box_query("C")),
+                            pre_to_t=u, t_to_post=v, selection="b")
+        for box in "AB":
+            q = box_query(box)
+            assert abl_distribution(protocol, q).entries == abl_distribution(ctx, q).entries
+            for label in q.labels:
+                assert (sequence_probability(protocol, (q, label))
+                        == sequence_probability(ctx, (q, label)))
+        assert sequence_probability(protocol, None) == sequence_probability(ctx, None)
 
 
 class TestPostOutcomeDistribution:

@@ -230,9 +230,20 @@ class TestEvaluate:
          "amplitudes[0] holds a number too large for a float"),
         (("query", "outcomes", 0, "projector"), [[[1, 0], [0, -10**400]], [[0, 0], [0, 0]]],
          "outcome 'x+' projector[0][1] holds a number too large for a float"),
+        (("base_protocol", "preparation", "dim"), 2.9, "declared dim 2.9 != 2"),
+        (("base_protocol", "preparation", "dim"), "2", 'declared dim "2" != 2'),
+        (("query", "dim"), 2.5, "declared dim 2.5 != 2"),
+        (("base_protocol", "post_pvm", "dim"), [2], "declared dim [2] != 2"),
+        (("base_protocol", "preparation", "basis_labels"), "ab",
+         'basis_labels must be a list of strings, got "ab"'),
+        (("base_protocol", "preparation", "basis_labels"), 7,
+         "basis_labels must be a list of strings, got 7"),
+        (("base_protocol", "selection"), ["x+"],
+         'selection must be a string or null, got ["x+"]'),
     ], ids=["short_pair", "null_amplitudes", "null_projector", "string_entry",
             "ragged_projector", "missing_label", "boolean_entry", "huge_amplitude",
-            "huge_projector_entry"])
+            "huge_projector_entry", "float_dim", "string_dim", "half_dim_on_pvm",
+            "list_dim", "string_basis_labels", "number_basis_labels", "list_selection"])
     def test_malformed_field_is_named_on_one_line(self, capsys, tmp_path, path,
                                                   value, named):
         data = json.loads((CONFIG_DIR / "aad_single.json").read_text())

@@ -25,9 +25,13 @@ from prepost.core import (
     DensityMatrix,
     DimensionMismatch,
     Distribution,
+    FilterStage,
+    MeasureStage,
     ProjectiveMeasurement,
+    Protocol,
     PureState,
     UnitaryOp,
+    UnitaryStage,
     ZeroProbabilityOutcome,
     axis_pvm,
     born_distribution,
@@ -36,6 +40,7 @@ from prepost.core import (
     embed_pvm,
     evolve,
     reduced_density,
+    stage_branches,
     tensor,
     total_variation,
 )
@@ -254,6 +259,46 @@ class TestBranchDistributions:
         assert 0.0 < p[1] <= EPS_PROB
         assert np.array_equal(rows[1], [0.0, 0.0])
         assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
+
+
+class TestStageBranches:
+    def test_no_stage_and_a_unitary_stage_are_one_born_branch(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        u, h, v = (UnitaryOp(random_unitary(rng, 2)) for _ in range(3))
+        protocol = Protocol(z_plus(), sigma_x(), pre_to_t=u, t_to_post=v)
+        for stage, mid in ((None, []), (UnitaryStage(h), [h])):
+            state = z_plus()
+            for w in [u, *mid, v]:
+                state = evolve(state, w)
+            labels, p, rows = stage_branches(protocol, stage)
+            assert labels == (None,)
+            assert p.tolist() == [1.0]
+            assert rows.tolist() == [list(born_distribution(state, sigma_x()).probabilities)]
+
+    def test_stage_replaces_the_protocols_own(self):
+        protocol = Protocol(z_plus(), sigma_x(), intermediate=MeasureStage(sigma_x()))
+        labels, p, rows = stage_branches(protocol, None)
+        assert labels == (None,)
+        assert np.allclose(rows, [[0.5, 0.5]], atol=EPS_NORM)
+
+    def test_zero_weight_measure_outcome_gets_an_exactly_zero_row(self):
+        labels, p, rows = stage_branches(Protocol(z_plus(), sigma_x()),
+                                         MeasureStage(sigma_z()))
+        assert labels == ("z+", "z-")
+        assert p.tolist() == [1.0, 0.0]
+        assert rows[1].tolist() == [0.0, 0.0]
+        assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
+
+    def test_filter_absorbs_every_other_branch_at_its_absorb_label(self):
+        boxes = ProjectiveMeasurement.from_eigenvectors(("a", "b", "c"), np.eye(3))
+        protocol = Protocol(PureState(("A", "B", "C"), [S2, S2, 0.0]), box_pvm("A"))
+        labels, p, rows = stage_branches(protocol, FilterStage(boxes, "b", "in_A"))
+        assert labels == ("a", "b", "c")
+        assert np.allclose(p, [0.5, 0.5, 0.0], atol=EPS_NORM)
+        # Branch c is never reached, but it is absorbed all the same.
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        _, _, rows = stage_branches(protocol, FilterStage(boxes, "c", "in_A"))
+        assert rows.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 
 
 # The stacked kernels against the per-branch arithmetic they replaced,

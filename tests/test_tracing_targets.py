@@ -6,6 +6,7 @@ benchmark run. This test only reads that table.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -30,3 +31,17 @@ def test_target_resolves_on_the_package(name, module, cls_name, attr):
         owner = getattr(owner, cls_name)
         assert attr in vars(owner), name
     assert callable(getattr(owner, attr)), name
+
+
+def test_every_package_name_the_benchmarks_read_resolves():
+    # The probes run only in traced runs, so a renamed export would break
+    # them without any other test failing. This test only reads the files.
+    importlib.import_module("prepost.cli")
+    pp = importlib.import_module("prepost")
+    read = {node.attr
+            for path in sorted(TRACING.parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "pp"}
+    assert read
+    assert sorted(name for name in read if not hasattr(pp, name)) == []
