@@ -60,6 +60,15 @@ class SelectionContext(Protocol):
                          selection=post_label)
 
 
+def selected_column(protocol: Protocol, stage: Stage) -> np.ndarray:
+    """Each branch's weight of reaching the protocol's selected outcome, with
+    ``stage`` in place of its own: p * rows[:, selection] of stage_branches."""
+    if protocol.selection is None:
+        raise ValueError("the protocol must fix a selected outcome")
+    _, p, rows = stage_branches(protocol, stage)
+    return p * rows[:, protocol.post_pvm.index(protocol.selection)]
+
+
 def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
     """Distribution of query outcomes conditioned on both selections of
     ``ctx``, with q measured in place of its intermediate stage.
@@ -67,8 +76,7 @@ def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
     Raises ImpossiblePostSelection when every path weight vanishes, meaning
     that with Q measured in between, outcome b can never occur.
     """
-    _, p, rows = stage_branches(ctx, MeasureStage(q))
-    weights = (p * rows[:, ctx.post_pvm.index(ctx.selection)]).tolist()
+    weights = selected_column(ctx, MeasureStage(q)).tolist()
     denominator = sum(weights)
     if denominator <= EPS_PROB:
         raise ImpossiblePostSelection(
@@ -94,8 +102,7 @@ def sequence_probability(
     else:
         pvm, label = intermediate
         stage, j = MeasureStage(pvm), pvm.index(label)
-    _, p, rows = stage_branches(ctx, stage)
-    return (p * rows[:, ctx.post_pvm.index(ctx.selection)]).tolist()[j]
+    return selected_column(ctx, stage).tolist()[j]
 
 
 def final_distribution(protocol: Protocol, stage: Stage) -> Distribution:

@@ -239,6 +239,9 @@ class ProjectiveMeasurement:
         for k, o in enumerate(data["outcomes"]):
             if type(o) is not dict or "label" not in o or "projector" not in o:
                 raise ValueError(f'outcomes[{k}] needs a "label" and a "projector"')
+            if type(o["label"]) is not str:
+                raise ValueError(f"outcomes[{k}] label must be a string, "
+                                 f"got {json.dumps(o['label'], default=repr)}")
         pvm = cls([(o["label"], _matrix_from_json(o["projector"],
                                                   f"outcome {o['label']!r} projector"))
                    for o in data["outcomes"]])

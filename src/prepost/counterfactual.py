@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .abl import ImpossiblePostSelection, abl_distribution, final_distribution
+from .abl import (ImpossiblePostSelection, abl_distribution, final_distribution,
+                  selected_column)
 from .core import (
     EPS_COTEN,
     EPS_NORM,
@@ -39,7 +40,6 @@ from .core import (
     Stage,
     born_distribution,
     evolve,
-    stage_branches,
     total_variation,
 )
 
@@ -147,8 +147,7 @@ def counterfactual_distribution(stmt: CounterfactualStatement) -> Distribution:
     p = stmt.base_protocol
     if stmt.flavor is Flavor.SINGLE:
         return born_distribution(evolve(p.preparation, p.pre_to_t), stmt.query)
-    _, q_weights, rows = stage_branches(p, MeasureStage(stmt.query))
-    column = q_weights * rows[:, p.post_pvm.index(p.selection)]
+    column = selected_column(p, MeasureStage(stmt.query))
     total = column.sum()
     if total <= EPS_PROB:
         raise ImpossiblePostSelection(

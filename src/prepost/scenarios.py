@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .abl import SelectionContext, abl_distribution, post_outcome_distribution, sequence_probability
+from .abl import abl_distribution, final_distribution, sequence_probability
 from .core import (
     EPS_NORM,
     BipartiteState,
@@ -209,46 +209,39 @@ def _sigma_x() -> ProjectiveMeasurement:
         ("x+", "x-"), np.array([[S2, S2], [S2, -S2]]))
 
 
-def _take_params(params: dict | None, defaults: dict) -> dict:
-    given = dict(params or {})
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ValueError(
-            f"unknown parameters {sorted(unknown)}; accepted: {sorted(defaults)}")
-    return {**defaults, **given}
-
-
-def _typed(params: dict, name: str, kind: type, what: str):
-    """The named parameter, which must be a ``kind``; JSON true and false
-    count only as bool, never as a number."""
-    value = params[name]
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
 def _subseed(seed: int, index: int) -> int:
     # Stable derived stream for a sub-experiment; independent of numpy's
     # global state and reproducible across platforms.
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _scenario_aad_dispersion_free(params, trials, seed, workers) -> ScenarioReport:
-    _take_params(params, {})
-    report = ScenarioReport("aad_dispersion_free", {}, trials, seed)
+def _sample(report: ScenarioReport, key: str, protocol: Protocol, workers: int | None,
+            stream: int | None = None, gate: str | None = None) -> EnsembleStats:
+    """Run ``protocol`` into report.monte_carlo[key], on the report's seed or
+    its sub-stream ``stream``; with a ``gate`` name, also gate the final
+    marginal against the protocol's analytic final distribution."""
+    seed = report.seed if stream is None else _subseed(report.seed, stream)
+    stats = run_ensemble(protocol, report.trials, seed, workers=workers)
+    report.monte_carlo[key] = stats
+    if gate is not None:
+        report.agreements[gate] = agreement_check(
+            stats.final_frequencies(),
+            final_distribution(protocol, protocol.intermediate))
+    return stats
+
+
+def _scenario_aad_dispersion_free(report: ScenarioReport, workers) -> None:
     pre, post = _z_plus(), _sigma_x()
     base = Protocol(pre, post, selection="x+")
-    ctx = SelectionContext(pre, post, "x+")
 
-    report.analytic["abl_query_z"] = abl_distribution(ctx, _sigma_z())
-    report.analytic["abl_query_x"] = abl_distribution(ctx, post)
+    report.analytic["abl_query_z"] = abl_distribution(base, _sigma_z())
+    report.analytic["abl_query_x"] = abl_distribution(base, post)
     single_world = born_distribution(pre, _sigma_x())
     report.analytic["single_world_query_x"] = single_world
 
     probed = Protocol(pre, post, intermediate=MeasureStage(_sigma_x()),
                       selection="x+")
-    stats = run_ensemble(probed, trials, seed, workers=workers)
-    report.monte_carlo["ensemble"] = stats
+    stats = _sample(report, "ensemble", probed, workers)
     unfiltered = stats.intermediate_frequencies()
     report.monte_carlo["unfiltered_query_frequencies"] = unfiltered
     report.agreements["unfiltered_vs_single_world"] = agreement_check(
@@ -281,21 +274,15 @@ def _scenario_aad_dispersion_free(params, trials, seed, workers) -> ScenarioRepo
         "with the final measurement, so it is cotenable and the truth is "
         "nontrivial here.",
     )
-    return report
 
 
-def _scenario_three_box(params, trials, seed, workers) -> ScenarioReport:
-    p = _take_params(params, {"query_box": "A"})
-    box = p["query_box"]
-    if box not in ("A", "B"):
-        raise ValueError("query_box must be 'A' or 'B'")
-    report = ScenarioReport("three_box", p, trials, seed)
-
+def _scenario_three_box(report: ScenarioReport, workers) -> None:
+    box = report.params["query_box"]
     labels = ("A", "B", "C")
     a = PureState(labels, [S3, S3, S3])
     b = PureState(labels, [S3, S3, -S3])
     post = ProjectiveMeasurement.binary_from_state(b, "b", "not_b")
-    ctx = SelectionContext(a, post, "b")
+    base = Protocol(a, post, selection="b")
 
     def box_query(which: str) -> ProjectiveMeasurement:
         proj = np.zeros((3, 3), dtype=complex)
@@ -303,19 +290,15 @@ def _scenario_three_box(params, trials, seed, workers) -> ScenarioReport:
         return ProjectiveMeasurement(
             [(f"in_{which}", proj), (f"not_{which}", np.eye(3) - proj)])
 
-    report.analytic["abl_box_A"] = abl_distribution(ctx, box_query("A"))
-    report.analytic["abl_box_B"] = abl_distribution(ctx, box_query("B"))
+    report.analytic["abl_box_A"] = abl_distribution(base, box_query("A"))
+    report.analytic["abl_box_B"] = abl_distribution(base, box_query("B"))
     report.analytic["post_selection_probability"] = born_distribution(
         a, post).probability("b")
 
     query = box_query(box)
     proto = Protocol(a, post, intermediate=MeasureStage(query), selection="b")
-    stats = run_ensemble(proto, trials, seed, workers=workers)
-    report.monte_carlo["ensemble"] = stats
-    claimed = report.analytic[f"abl_box_{box}"]
-    report.agreements["final_marginal_vs_analytic"] = agreement_check(
-        stats.final_frequencies(),
-        post_outcome_distribution(a, post, intermediate=query))
+    stats = _sample(report, "ensemble", proto, workers,
+                    gate="final_marginal_vs_analytic")
     try:
         conditional = conditional_frequencies(stats, "b")
     except EmptySelection:
@@ -324,12 +307,11 @@ def _scenario_three_box(params, trials, seed, workers) -> ScenarioReport:
     else:
         report.monte_carlo["conditional_box_frequencies"] = conditional
         report.agreements["conditional_vs_claimed"] = agreement_check(
-            conditional, claimed)
+            conditional, report.analytic[f"abl_box_{box}"])
         report.checks["post_selected_trials_exist"] = conditional.sample_size >= 1
         report.checks["conditional_exact_unity"] = (
             conditional.distribution.probability(f"in_{box}") == 1.0)
 
-    base = Protocol(a, post, selection="b")
     for flavor in Flavor:
         report.verdicts[flavor.value] = evaluate(
             CounterfactualStatement(base, query, flavor))
@@ -348,7 +330,6 @@ def _scenario_three_box(params, trials, seed, workers) -> ScenarioReport:
         "re-imposing the post-selection the box holds the particle only one "
         "third of the time.",
     )
-    return report
 
 
 def _raffle_flip() -> UnitaryOp:
@@ -361,16 +342,9 @@ def _raffle_flip() -> UnitaryOp:
     ]))
 
 
-def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
-    p = _take_params(params, {"n_coins": 3, "raffle_held": True})
-    n_coins = int(_typed(p, "n_coins", numbers.Integral, "an integer"))
-    held = _typed(p, "raffle_held", bool, "true or false")
-    if not 1 <= n_coins <= 20:
-        raise ValueError("n_coins must be between 1 and 20")
-    report = ScenarioReport("quantum_raffle",
-                            {"n_coins": n_coins, "raffle_held": held},
-                            trials, seed)
-
+def _scenario_quantum_raffle(report: ScenarioReport, workers) -> None:
+    n_coins, held = report.params["n_coins"], report.params["raffle_held"]
+    trials = report.trials
     ready = PureState(("ready", "heads", "tails"), [1.0, 0.0, 0.0])
     heads_proj = np.zeros((3, 3), dtype=complex)
     heads_proj[1, 1] = 1.0
@@ -379,7 +353,7 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     stage = UnitaryStage(_raffle_flip()) if held else None
     proto = Protocol(ready, heads_pvm, intermediate=stage)
 
-    coin_distribution = post_outcome_distribution(ready, heads_pvm, intermediate=stage)
+    coin_distribution = final_distribution(proto, stage)
     p_heads = coin_distribution.probability("heads")
     report.analytic["p_heads_per_coin"] = p_heads
     m_labels = [str(k) for k in range(n_coins + 1)]
@@ -392,7 +366,7 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
     # Each entrant's coin is an independent system with its own stream.
     m_hist, first_coin = outcome_count_histogram(
         proto, "heads", trials,
-        [_subseed(seed, coin) for coin in range(n_coins)], workers)
+        [_subseed(report.seed, coin) for coin in range(n_coins)], workers)
     m_frequencies = EmpiricalDistribution(Distribution(
         [(label, int(n) / trials) for label, n in zip(m_labels, m_hist)]), trials)
     report.monte_carlo["m_frequencies"] = m_frequencies
@@ -418,44 +392,30 @@ def _scenario_quantum_raffle(params, trials, seed, workers) -> ScenarioReport:
         "A winner exists exactly when M > 0; how a winner would be chosen "
         "is outside the model.",
     )
-    return report
 
 
-def _scenario_crossed_polarizers(params, trials, seed, workers) -> ScenarioReport:
-    p = _take_params(params, {"theta": math.pi / 4})
-    theta = float(_typed(p, "theta", numbers.Real, "a real number"))
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    if abs(math.sin(theta) * math.cos(theta)) < 1e-9:
-        raise ValueError("theta must not be aligned with either polarizer")
-    report = ScenarioReport("crossed_polarizers", {"theta": theta}, trials, seed)
-
+def _scenario_crossed_polarizers(report: ScenarioReport, workers) -> None:
+    theta = report.params["theta"]
     photon = PureState(("x", "y"), [1.0, 0.0])
     final = axis_pvm(math.pi / 2)
     middle = axis_pvm(theta)
     base = Protocol(photon, final, selection="pass")
-    ctx = SelectionContext(photon, final, "pass")
 
-    report.analytic["direct_pass_probability"] = sequence_probability(ctx, None)
+    report.analytic["direct_pass_probability"] = sequence_probability(base, None)
     report.analytic["inserted_pass_probability"] = sequence_probability(
-        ctx, (middle, "pass"))
-    report.analytic["abl_query"] = abl_distribution(ctx, middle)
+        base, (middle, "pass"))
+    report.analytic["abl_query"] = abl_distribution(base, middle)
     report.analytic["single_world_query"] = born_distribution(photon, middle)
 
-    direct_stats = run_ensemble(base, trials, seed, workers=workers)
-    report.monte_carlo["direct_ensemble"] = direct_stats
+    direct_stats = _sample(report, "direct_ensemble", base, workers)
     report.checks["no_pass_without_intermediate"] = (
         direct_stats.counts[(None, "pass")] == 0)
 
     filter_stage = FilterStage(middle, "pass", "block")
     inserted = Protocol(photon, final, intermediate=filter_stage,
                         selection="pass")
-    inserted_stats = run_ensemble(inserted, trials, _subseed(seed, 1),
-                                  workers=workers)
-    report.monte_carlo["inserted_ensemble"] = inserted_stats
-    report.agreements["inserted_final_vs_analytic"] = agreement_check(
-        inserted_stats.final_frequencies(),
-        post_outcome_distribution(photon, final, intermediate=filter_stage))
+    _sample(report, "inserted_ensemble", inserted, workers, stream=1,
+            gate="inserted_final_vs_analytic")
 
     report.cotenability["inserted_polarizer"] = cotenability_report(
         base, filter_stage)
@@ -477,13 +437,9 @@ def _scenario_crossed_polarizers(params, trials, seed, workers) -> ScenarioRepor
         "query is even; at theta = pi/4 an unfiltered measurement happens "
         "to reproduce it, so the single reading holds only by coincidence.",
     )
-    return report
 
 
-def _scenario_epr_no_signaling(params, trials, seed, workers) -> ScenarioReport:
-    _take_params(params, {})
-    report = ScenarioReport("epr_no_signaling", {}, trials, seed)
-
+def _scenario_epr_no_signaling(report: ScenarioReport, workers) -> None:
     pair = BipartiteState(("z+", "z-"), ("z+", "z-"), [0.0, S2, -S2, 0.0])
     rho_left = reduced_density(pair, "left")
     rho_right = reduced_density(pair, "right")
@@ -495,34 +451,26 @@ def _scenario_epr_no_signaling(params, trials, seed, workers) -> ScenarioReport:
 
     joint = pair.to_pure_state()
     bob = embed_pvm(_sigma_z(), "right", 2)
-    settings: dict[str, MeasureStage | None] = {
-        "alice_sigma_z": MeasureStage(embed_pvm(_sigma_z(), "left", 2)),
-        "alice_sigma_x": MeasureStage(embed_pvm(_sigma_x(), "left", 2)),
-        "alice_none": None,
-    }
+    settings = {name: Protocol(joint, bob, intermediate=stage) for name, stage in (
+        ("alice_sigma_z", MeasureStage(embed_pvm(_sigma_z(), "left", 2))),
+        ("alice_sigma_x", MeasureStage(embed_pvm(_sigma_x(), "left", 2))),
+        ("alice_none", None))}
 
-    analytic_marginals = {
-        name: post_outcome_distribution(joint, bob, intermediate=stage)
-        for name, stage in settings.items()
-    }
+    analytic_marginals = {name: final_distribution(proto, proto.intermediate)
+                          for name, proto in settings.items()}
     report.analytic["bob_marginals"] = analytic_marginals
     names = list(settings)
     report.checks["analytic_marginals_identical"] = all(
         total_variation(analytic_marginals[x], analytic_marginals[y]) <= EPS_NORM
         for i, x in enumerate(names) for y in names[i + 1:])
 
-    empirical: dict[str, EmpiricalDistribution] = {}
-    for idx, (name, stage) in enumerate(settings.items()):
-        proto = Protocol(joint, bob, intermediate=stage)
-        stats = run_ensemble(proto, trials, _subseed(seed, idx), workers=workers)
-        report.monte_carlo[f"ensemble_{name}"] = stats
-        empirical[name] = stats.final_frequencies()
-        report.agreements[f"bob_marginal_{name}"] = agreement_check(
-            empirical[name], analytic_marginals[name])
+    empirical = {name: _sample(report, f"ensemble_{name}", proto, workers, stream=idx,
+                               gate=f"bob_marginal_{name}").final_frequencies()
+                 for idx, (name, proto) in enumerate(settings.items())}
 
     # Two independent frequencies of a p ~ 1/2 outcome differ by at most
     # z * sqrt(2 p (1-p) / n) up to the usual analytic slack.
-    tvd_gate = 5.0 * math.sqrt(2.0 * 0.25 / trials) + EPS_NORM
+    tvd_gate = 5.0 * math.sqrt(2.0 * 0.25 / report.trials) + EPS_NORM
     max_tvd = max(
         total_variation(empirical[x].distribution, empirical[y].distribution)
         for i, x in enumerate(names) for y in names[i + 1:])
@@ -544,32 +492,22 @@ def _scenario_epr_no_signaling(params, trials, seed, workers) -> ScenarioReport:
         "disagree in every single trial: equal-outcome joint events carry "
         "exactly zero amplitude.",
     )
-    return report
 
 
-def _scenario_epr_timelike_detection(params, trials, seed, workers) -> ScenarioReport:
-    _take_params(params, {})
-    report = ScenarioReport("epr_timelike_detection", {}, trials, seed)
-
-    pre = _z_plus()
-    post = _sigma_z()
+def _scenario_epr_timelike_detection(report: ScenarioReport, workers) -> None:
+    pre, post = _z_plus(), _sigma_z()
     idle = Protocol(pre, post)
     probed = Protocol(pre, post, intermediate=MeasureStage(_sigma_x()))
 
-    report.analytic["idle_final_distribution"] = post_outcome_distribution(pre, post)
-    probed_dist = post_outcome_distribution(pre, post, intermediate=_sigma_x())
+    report.analytic["idle_final_distribution"] = final_distribution(idle, None)
+    probed_dist = final_distribution(probed, probed.intermediate)
     report.analytic["probed_final_distribution"] = probed_dist
     report.analytic["detection_probability"] = probed_dist.probability("z-")
 
-    idle_stats = run_ensemble(idle, trials, seed, workers=workers)
-    report.monte_carlo["idle_ensemble"] = idle_stats
+    idle_stats = _sample(report, "idle_ensemble", idle, workers)
     report.checks["flip_never_happens_when_idle"] = idle_stats.counts[(None, "z-")] == 0
-
-    probed_stats = run_ensemble(probed, trials, _subseed(seed, 1),
-                                workers=workers)
-    report.monte_carlo["probed_ensemble"] = probed_stats
-    report.agreements["probed_final_vs_analytic"] = agreement_check(
-        probed_stats.final_frequencies(), probed_dist)
+    _sample(report, "probed_ensemble", probed, workers, stream=1,
+            gate="probed_final_vs_analytic")
 
     report.cotenability["probe"] = cotenability_report(
         Protocol(pre, post, selection="z-"), _sigma_x())
@@ -584,15 +522,54 @@ def _scenario_epr_timelike_detection(params, trials, seed, workers) -> ScenarioR
         "inserting it moves the final distribution from certainty to an "
         "even split.",
     )
-    return report
+
+
+# Each parameter kind: the type a JSON value must have, and its name in errors.
+_KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number"), str: (str, "a string")}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter: `prepost list` text, kind, default and range.
+
+    ``kind`` is bool, int, float or str, and the value is converted to it.
+    JSON true and false count only as bool, and a float must be finite.
+    ``rule`` is a range check on the converted value and the message it raises.
+    """
+    name: str
+    kind: type
+    default: object
+    doc: str
+    rule: tuple[Callable[[object], bool], str] | None = None
+
+    def checked(self, value):
+        abstract, what = _KINDS[self.kind]
+        if (not isinstance(value, abstract)
+                or isinstance(value, bool) != (self.kind is bool)):
+            raise ValueError(f"{self.name} must be {what}, got {value!r}")
+        try:
+            value = self.kind(value)
+        except OverflowError:
+            raise ValueError(f"{self.name} is too large for a float") from None
+        if self.kind is float and not math.isfinite(value):
+            raise ValueError(f"{self.name} must be finite, got {value!r}")
+        if self.rule is not None and not self.rule[0](value):
+            raise ValueError(self.rule[1])
+        return value
 
 
 @dataclass(frozen=True)
 class ScenarioInfo:
     name: str
     description: str
-    params_doc: dict[str, str]
-    runner: Callable[[dict | None, int, int, int | None], ScenarioReport]
+    runner: Callable[[ScenarioReport, int | None], None]
+    params: tuple[Param, ...] = ()
+
+    @property
+    def params_doc(self) -> dict[str, str]:
+        """The `prepost list` text of each parameter, read off the table."""
+        return {p.name: p.doc for p in self.params}
 
 
 _CATALOGUE: dict[str, ScenarioInfo] = {
@@ -601,41 +578,42 @@ _CATALOGUE: dict[str, ScenarioInfo] = {
             "aad_dispersion_free",
             "Two noncommuting observables, each with a dispersion-free "
             "conditional value between the selections.",
-            {},
             _scenario_aad_dispersion_free),
         ScenarioInfo(
             "three_box",
             "A particle certain to be in box A if A is opened, and certain "
             "to be in box B if B is opened instead.",
-            {"query_box": "which box to open in the simulated run: A or B "
-                          "(default A)"},
-            _scenario_three_box),
+            _scenario_three_box,
+            (Param("query_box", str, "A",
+                   "which box to open in the simulated run: A or B (default A)",
+                   (lambda box: box in ("A", "B"), "query_box must be 'A' or 'B'")),)),
         ScenarioInfo(
             "quantum_raffle",
             "Independent three-level coins; the number of heads M decides "
             "whether the raffle has a winner.",
-            {"n_coins": "number of entrants (default 3)",
-             "raffle_held": "whether the flip evolution is applied "
-                            "(default true)"},
-            _scenario_quantum_raffle),
+            _scenario_quantum_raffle,
+            (Param("n_coins", int, 3, "number of entrants (default 3)",
+                   (lambda n: 1 <= n <= 20, "n_coins must be between 1 and 20")),
+             Param("raffle_held", bool, True,
+                   "whether the flip evolution is applied (default true)"))),
         ScenarioInfo(
             "crossed_polarizers",
             "Crossed polarizers block everything until an oblique one is "
             "inserted between them.",
-            {"theta": "angle of the inserted polarizer in radians "
-                      "(default pi/4)"},
-            _scenario_crossed_polarizers),
+            _scenario_crossed_polarizers,
+            (Param("theta", float, math.pi / 4,
+                   "angle of the inserted polarizer in radians (default pi/4)",
+                   (lambda t: abs(math.sin(t) * math.cos(t)) >= 1e-9,
+                    "theta must not be aligned with either polarizer")),)),
         ScenarioInfo(
             "epr_no_signaling",
             "An anticorrelated pair: local marginals are maximally mixed "
             "and independent of the distant setting.",
-            {},
             _scenario_epr_no_signaling),
         ScenarioInfo(
             "epr_timelike_detection",
             "A later measurement on one system detects with certainty that "
             "a noncommuting measurement happened earlier.",
-            {},
             _scenario_epr_timelike_detection),
     )
 }
@@ -647,10 +625,20 @@ def available_scenarios() -> list[ScenarioInfo]:
 
 def run_scenario(name: str, params: dict | None = None, trials: int = 100_000,
                  seed: int = 0, workers: int | None = None) -> ScenarioReport:
-    """Run one catalogue scenario and return its self-contained report."""
+    """Run one catalogue scenario and return its self-contained report, whose
+    params hold every value as the scenario's table checked and converted it."""
     if name not in _CATALOGUE:
         known = ", ".join(sorted(_CATALOGUE))
         raise UnknownScenario(f"unknown scenario {name!r}; available: {known}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    return _CATALOGUE[name].runner(params, trials, seed, workers)
+    info = _CATALOGUE[name]
+    given = dict(params or {})
+    accepted = sorted(info.params_doc)
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown}; accepted: {accepted}")
+    report = ScenarioReport(name, {p.name: p.checked(given.get(p.name, p.default))
+                                   for p in info.params}, trials, seed)
+    info.runner(report, workers)
+    return report

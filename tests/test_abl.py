@@ -175,6 +175,14 @@ class TestProtocolTimeline:
                         == sequence_probability(ctx, (q, label)))
         assert sequence_probability(protocol, None) == sequence_probability(ctx, None)
 
+    def test_abl_needs_a_selected_outcome(self):
+        with pytest.raises(ValueError, match="the protocol must fix a selected outcome"):
+            abl_distribution(Protocol(z_plus(), sigma_x()), sigma_z())
+
+    def test_sequence_probability_needs_a_selected_outcome(self):
+        with pytest.raises(ValueError, match="the protocol must fix a selected outcome"):
+            sequence_probability(Protocol(z_plus(), sigma_x()), (sigma_z(), "z+"))
+
 
 class TestPostOutcomeDistribution:
     def test_commuting_measurement_does_not_disturb(self):

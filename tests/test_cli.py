@@ -133,6 +133,9 @@ class TestScenario:
         ("quantum_raffle", '{"n_coins": 2.7}'),
         ("crossed_polarizers", '{"theta": "nan"}'),
         ("crossed_polarizers", '{"theta": NaN}'),
+        pytest.param("crossed_polarizers", '{"theta": 1%s}' % ("0" * 399),
+                     id="crossed_polarizers-400_digit_theta"),
+        ("three_box", '{"query_box": 1}'),
     ])
     def test_mistyped_param_is_an_input_error(self, capsys, name, params):
         code, out, err = run_cli(capsys, "scenario", name, "--params", params,
@@ -240,10 +243,14 @@ class TestEvaluate:
          "basis_labels must be a list of strings, got 7"),
         (("base_protocol", "selection"), ["x+"],
          'selection must be a string or null, got ["x+"]'),
+        (("query", "outcomes", 0, "label"), 7, "outcomes[0] label must be a string, got 7"),
+        (("query", "outcomes", 0, "label"), None,
+         "outcomes[0] label must be a string, got null"),
     ], ids=["short_pair", "null_amplitudes", "null_projector", "string_entry",
             "ragged_projector", "missing_label", "boolean_entry", "huge_amplitude",
             "huge_projector_entry", "float_dim", "string_dim", "half_dim_on_pvm",
-            "list_dim", "string_basis_labels", "number_basis_labels", "list_selection"])
+            "list_dim", "string_basis_labels", "number_basis_labels", "list_selection",
+            "number_label", "null_label"])
     def test_malformed_field_is_named_on_one_line(self, capsys, tmp_path, path,
                                                   value, named):
         data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
@@ -286,6 +293,8 @@ PINNED_REPORTS = {
                        "--format", "json"], "1468b497ff3ff517"),
     "evaluate-text": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),
                        "--format", "text"], "6bc02de2939acac3"),
+    "list-text": (["list"], "79d8188389f8bde1"),
+    "list-json": (["list", "--format", "json"], "ea1cd43248406ed4"),
 }
 
 

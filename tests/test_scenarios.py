@@ -52,6 +52,21 @@ class TestDispatch:
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
+class TestParameterTable:
+    @pytest.mark.parametrize("info", available_scenarios(), ids=lambda info: info.name)
+    def test_documented_names_are_the_checked_names(self, info):
+        report = run_scenario(info.name, None, 1, 0)
+        assert list(info.params_doc) == list(report.params)
+        for name, value in report.params.items():
+            assert run_scenario(info.name, {name: value}, 1, 0).params == report.params
+        with pytest.raises(ValueError, match="unknown parameters"):
+            run_scenario(info.name, {"undocumented": 1}, 1, 0)
+
+    def test_real_parameter_is_converted_to_float(self):
+        theta = run_scenario("crossed_polarizers", {"theta": 1}, 1, 0).params["theta"]
+        assert type(theta) is float and theta == 1.0
+
+
 @pytest.fixture(scope="module")
 def aad_report() -> ScenarioReport:
     return run_scenario("aad_dispersion_free", {}, N, 42)
