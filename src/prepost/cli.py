@@ -81,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--seed", type=_nonnegative_int, default=0,
                          help="random seed (default 0; runs are reproducible)")
     runtime.add_argument("--workers", type=_worker_count, default=None,
-                         help=f"worker threads, at most {MAX_WORKERS}; results "
-                              "do not depend on this")
+                         help=f"worker threads, at most {MAX_WORKERS}; verify "
+                              "also runs its suites on up to min(WORKERS, 5) "
+                              "forked processes; results do not depend on this")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -94,6 +94,16 @@ def _within_eps(a, b, axis=None):
     return np.abs(a - b).max(axis=axis, initial=0.0) <= EPS_NORM
 
 
+def _quiet_overflow() -> np.errstate:
+    """Scope for building a value from JSON input. The constructors'
+    validation products overflow on finite entries near 1e308; the inf or nan
+    they yield fails the check that reads them, which reports the one error,
+    so numpy's warnings about it are noise. Entering the scope costs a few
+    microseconds, so the constructors, which computed values reach on hot
+    paths, do not enter it themselves."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _renormalised(x: np.ndarray, what: str) -> np.ndarray:
     """Each row of x over its norm, taken as np.linalg.norm takes it: dots of
     the strided .real/.imag views (a contiguous copy moves low-order bits)."""
@@ -144,7 +154,8 @@ class PureState:
         if type(labels) is not list or not all(type(l) is str for l in labels):
             raise ValueError("basis_labels must be a list of strings, "
                              f"got {json.dumps(labels, default=repr)}")
-        state = cls(labels, _complex_list(data["amplitudes"], "amplitudes"))
+        with _quiet_overflow():
+            state = cls(labels, _complex_list(data["amplitudes"], "amplitudes"))
         _check_declared_dim(data, state.dim)
         return state
 
@@ -242,9 +253,10 @@ class ProjectiveMeasurement:
             if type(o["label"]) is not str:
                 raise ValueError(f"outcomes[{k}] label must be a string, "
                                  f"got {json.dumps(o['label'], default=repr)}")
-        pvm = cls([(o["label"], _matrix_from_json(o["projector"],
-                                                  f"outcome {o['label']!r} projector"))
-                   for o in data["outcomes"]])
+        with _quiet_overflow():
+            pvm = cls([(o["label"], _matrix_from_json(o["projector"],
+                                                      f"outcome {o['label']!r} projector"))
+                       for o in data["outcomes"]])
         _check_declared_dim(data, pvm.dim)
         return pvm
 
@@ -280,7 +292,8 @@ class UnitaryOp:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnitaryOp":
-        u = cls(_matrix_from_json(data["matrix"], "unitary matrix"))
+        with _quiet_overflow():
+            u = cls(_matrix_from_json(data["matrix"], "unitary matrix"))
         _check_declared_dim(data, u.dim)
         return u
 

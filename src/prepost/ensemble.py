@@ -171,17 +171,23 @@ def _draw(branch_cdf: np.ndarray, final_cdfs: np.ndarray, seed: int,
     return branch, final
 
 
+def resolve_workers(workers: int | None) -> int:
+    """The worker count to run with: None picks one from the CPU count, and
+    a count outside 1..MAX_WORKERS is an error."""
+    if workers is None:
+        return min(4, os.cpu_count() or 1)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
+    return workers
+
+
 def _run_chunks(trials: int, workers: int | None,
                 count: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """Sum of count(lo, hi) over the chunks [lo, hi) of trials [0, trials).
     At most ``workers`` threads (None picks a number) each sum a contiguous
     run of whole chunks; a single run is summed inline."""
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
     n_chunks = -(-trials // CHUNK)
-    workers = min(workers, n_chunks)
+    workers = min(resolve_workers(workers), n_chunks)
 
     def tally(lo: int, hi: int) -> np.ndarray:
         return sum(count(start, min(start + CHUNK, hi))

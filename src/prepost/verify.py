@@ -11,8 +11,10 @@ in dimensions 2 to 4, each against a tolerance of 1e-10:
                         nontrivial exactly when the query is cotenable
 
 On top of the suites, every catalogue scenario is run once and its
-statistical agreement gates are recorded. Reports are deterministic for a
-given seed, regardless of worker count.
+statistical agreement gates are recorded. With more than one worker, the
+suites run on up to min(workers, 5) forked processes while the scenarios run
+in the calling process. Each suite draws only from its own seeded stream, so
+reports are deterministic for a given seed, regardless of worker count.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .counterfactual import (
     cotenability_report,
     evaluate,
 )
-from .ensemble import Protocol
+from .ensemble import Protocol, resolve_workers
 from .scenarios import available_scenarios, run_scenario
 
 DIMS = (2, 3, 4)
@@ -302,27 +304,49 @@ def _suite_compound_triviality(instances: int, seed: int) -> SuiteResult:
     return _suite("compound_triviality", instances, (2, 3), draw)
 
 
+_SUITES = (_suite_sum_to_one, _suite_time_symmetry, _suite_born_marginalization,
+           _suite_oracle_equivalence, _suite_compound_triviality)
+
+
 def run_verification(instances: int = 500, compound_instances: int = 200,
                      trials: int = 100_000, seed: int = 0,
                      workers: int | None = None) -> VerificationReport:
-    """Run every invariant suite and every scenario's agreement gates."""
+    """Run every invariant suite and every scenario's agreement gates.
+
+    With more than one worker the suites run on forked processes while the
+    scenario gates run here; each suite depends only on (instances, seed).
+    """
     if instances < 1:
         raise ValueError("instances must be at least 1")
     if compound_instances < 1:
         raise ValueError("compound_instances must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    suites = (
-        _suite_sum_to_one(instances, seed),
-        _suite_time_symmetry(instances, seed),
-        _suite_born_marginalization(instances, seed),
-        _suite_oracle_equivalence(instances, seed),
-        _suite_compound_triviality(compound_instances, seed),
-    )
-    gates = {
-        info.name: run_scenario(info.name, None, trials, seed,
-                                workers=workers).all_gates_passed
-        for info in available_scenarios()
-    }
+    workers = resolve_workers(workers)
+    sizes = (instances,) * 4 + (compound_instances,)
+
+    def scenario_gates() -> dict[str, bool]:
+        return {info.name: run_scenario(info.name, None, trials, seed,
+                                        workers=workers).all_gates_passed
+                for info in available_scenarios()}
+
+    processes = min(workers, len(_SUITES))
+    if processes > 1:
+        # Imported here so that commands which never verify do not pay for it.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            processes = 1
+    if processes == 1:
+        suites = tuple(suite(n, seed) for suite, n in zip(_SUITES, sizes))
+        gates = scenario_gates()
+    else:
+        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(suite, n, seed) for suite, n in zip(_SUITES, sizes)]
+            gates = scenario_gates()
+            suites = tuple(f.result() for f in futures)
+        finally:
+            pool.shutdown(cancel_futures=True)
     return VerificationReport(seed, instances, compound_instances, trials,
                               suites, gates)

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,12 +13,25 @@ import pytest
 from prepost.cli import MAX_TRIALS, MAX_WORKERS, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv) -> tuple[int, str, str]:
+    """The command in a fresh interpreter, so stderr holds everything a user
+    would see there, Python's warnings included."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from prepost.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestList:
@@ -266,6 +282,29 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert out == ""
 
+    # Finite entries whose products overflow: each is rejected by the check
+    # that reads the product, and nothing else may reach stderr.
+    @pytest.mark.parametrize("path, value, named", [
+        (("base_protocol", "preparation", "amplitudes"), [[1e308, 1e308], [0, 0]],
+         "state vector has norm inf, expected 1"),
+        (("base_protocol", "pre_to_t"), {"matrix": [[[1e308, 0], [1e308, 0]]] * 2},
+         "matrix is not unitary"),
+        (("query", "outcomes", 0, "projector"), [[[1e308, 0], [1e308, 0]]] * 2,
+         "projector for 'x+' is not idempotent"),
+    ], ids=["state_norm", "unitary_product", "projector_product"])
+    def test_overflowing_product_prints_one_line(self, tmp_path, path, value, named):
+        data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli_process("evaluate", "--config", str(bad))
+        assert code == 2
+        assert err.splitlines() == [f"error: invalid statement config: {named}"]
+        assert out == ""
+
     def test_csv_is_not_offered(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--config",
                                str(CONFIG_DIR / "aad_single.json"),
@@ -302,6 +341,14 @@ PINNED_REPORTS = {
 def test_report_bytes_are_pinned(capsys, name):
     argv, digest = PINNED_REPORTS[name]
     code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3", "5"])
+def test_verify_digest_does_not_depend_on_workers(capsys, workers):
+    argv, digest = PINNED_REPORTS["verify-json"]
+    code, out, _ = run_cli(capsys, *argv, "--workers", workers)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 

@@ -1,10 +1,14 @@
 """Randomized invariant suites and the aggregate verification report."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
 
 import pytest
 
+from prepost import verify
+from prepost.ensemble import MAX_WORKERS
 from prepost.verify import VerificationReport, run_verification
 
 SUITE_NAMES = {
@@ -97,3 +101,35 @@ class TestValidation:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_verification(instances=10, trials=0, seed=1)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+    def test_worker_count_is_checked_before_any_suite_runs(self, monkeypatch, workers):
+        def suite_ran(*args):
+            raise AssertionError("a suite ran")
+        monkeypatch.setattr(verify, "_suite", suite_ran)
+        with pytest.raises(ValueError, match=f"workers must be between 1 and {MAX_WORKERS}"):
+            run_verification(instances=10, compound_instances=5, trials=100,
+                             seed=1, workers=workers)
+
+    def test_pool_is_bounded_and_no_process_outlives_the_run(self, monkeypatch):
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                pools.append((self, max_workers))  # kept alive past the run
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        run_verification(instances=10, compound_instances=5, trials=500,
+                         seed=1, workers=MAX_WORKERS)
+        assert [n for _, n in pools] == [5]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_suite_error_reaches_the_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(verify, "MAX_RESAMPLES", 0)
+        with pytest.raises(RuntimeError, match="^could not draw a usable instance$"):
+            run_verification(instances=10, compound_instances=5, trials=500,
+                             seed=1, workers=workers)
+        assert multiprocessing.active_children() == []
