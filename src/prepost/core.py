@@ -94,6 +94,16 @@ def _within_eps(a, b, axis=None):
     return np.abs(a - b).max(axis=axis, initial=0.0) <= EPS_NORM
 
 
+def _complete(error: np.ndarray) -> bool:
+    """||error||_2 <= EPS_NORM for the completeness error sum(P) - I. The
+    spectral norm bounds |<x|error|x>| over unit x, which is how far a Born
+    sum can miss 1, so a measurement that passes cannot fail Distribution's
+    sum check; an entrywise bound can be exceeded d-fold. The Frobenius norm
+    bounds the spectral norm from above and costs far less than its SVD, so
+    the SVD runs only when the Frobenius norm does not settle the check."""
+    return bool(np.linalg.norm(error) <= EPS_NORM or np.linalg.norm(error, 2) <= EPS_NORM)
+
+
 def _quiet_overflow() -> np.errstate:
     """Scope for building a value from JSON input. The constructors'
     validation products overflow on finite entries near 1e308; the inf or nan
@@ -196,7 +206,7 @@ class ProjectiveMeasurement:
                   if not (h and ok)]
         faults += [f"projectors {labels[i]!r} and {labels[j]!r} overlap"
                    for i, j in zip(*np.nonzero(~product_ok)) if i < j]
-        if faults or not _within_eps(stack.sum(0), np.eye(dim)):
+        if faults or not _complete(stack.sum(0) - np.eye(dim)):
             raise ValueError((faults or ["projectors do not sum to the identity"])[0])
         self.stack = _frozen(stack)
         self.outcomes = tuple(zip(labels, self.stack))
@@ -406,7 +416,7 @@ def _checked_rows(probs: np.ndarray) -> np.ndarray:
     for k in np.flatnonzero(~finite | outside | (np.abs(total - 1.0) > EPS_NORM))[:1]:
         raise ValueError(f"non-finite probabilities: {probs[k]}" if not finite[k] else
                          f"probabilities outside [0, 1]: {probs[k]}" if outside[k] else
-                         f"probabilities sum to {total[k]!r}, not 1")
+                         f"probabilities sum to {float(total[k])!r}, not 1")
     return np.clip(probs, 0.0, 1.0)
 
 

@@ -7,8 +7,12 @@ filter), evolves to the final time, and measures the final PVM. Only joint
 
 Determinism contract: the two uniform variates consumed by trial i are a
 fixed function of (seed, i), namely rows of a counter-based Philox stream
-keyed by the seed. Each even-aligned chunk of CHUNK trials is drawn from
-the stream advanced to its first trial. Every tally, run_ensemble's and the
+keyed by the seed. Each even-aligned chunk of CHUNK trials is drawn, in
+blocks of BLOCK trials, from the stream advanced to its first trial.
+Outcomes are read from the same 53-bit integers (each 64-bit word shifted
+right by 11) that Generator.random scales by 2**-53, against CDF edges
+rounded up to that grid, so every outcome is the one a float bisect of
+Generator.random's variates gives. Every tally, run_ensemble's and the
 per-trial outcome counts over many seeded streams (the quantum raffle's
 coins), is summed by worker threads that each draw their own run of whole
 chunks: counts are byte-identical for every worker count, and memory does
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +33,12 @@ from .core import EPS_AGREE, EPS_PROB, Distribution, Protocol, stage_branches
 # Trials per variate chunk. Even, because one Philox counter step yields the
 # four 64-bit words of two trials, so only even trials can start a chunk.
 CHUNK = 1 << 16
+# Trials per _draw call. Its buffers, about 24 bytes a trial at their peak,
+# stay near 0.8 MB per worker thread; at a whole chunk they reach 1.6 MB,
+# which the allocator keeps resident in every thread's arena. The blocks of
+# a chunk read one Philox stream in order, so any block size gives the same
+# draws.
+BLOCK = 1 << 15
 # Upper bound on the worker count: every worker is an operating-system thread.
 MAX_WORKERS = 64
 
@@ -118,28 +128,44 @@ class EnsembleStats:
         }
 
 
-def _clean_cdf(probs: np.ndarray) -> np.ndarray:
-    """CDF with numerically-zero branches given zero-width intervals.
+def _clean_cdfs(rows: np.ndarray) -> np.ndarray:
+    """Row-wise CDFs with numerically-zero outcomes given zero-width intervals.
 
-    A right-bisect against this CDF can never land in a zero-width
-    interval, so zero-probability outcomes are never sampled, not even
-    once in 10^9 trials.
+    A right-bisect against such a row can never land in a zero-width
+    interval, so zero-probability outcomes are never sampled, not even once
+    in 10^9 trials. Each row is clipped, zeroed, summed, divided and
+    accumulated exactly as it would be on its own: the sum of a C-contiguous
+    row is numpy's pairwise sum either way. A row of zeros is an unreached
+    branch and becomes a row of ones, never consulted.
     """
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
+    unreached = ~np.asarray(rows).any(axis=1)
+    p = np.array(rows, dtype=float, order="C")
+    np.clip(p, 0.0, 1.0, out=p)
     p[p <= EPS_PROB] = 0.0
-    total = p.sum()
-    if total <= 0.0:
+    total = p.sum(axis=1)
+    if (total[~unreached] <= 0.0).any():
         raise ValueError("all outcomes have zero probability")
-    cdf = np.cumsum(p / total)
-    cdf[-1] = 1.0
+    total[unreached] = 1.0
+    cdf = np.cumsum(p / total[:, None], axis=1)
+    cdf[:, -1] = 1.0
+    cdf[unreached] = 1.0
     return cdf
+
+
+def _integer_edges(cdf: np.ndarray) -> np.ndarray:
+    """K = ceil(edge * 2**53) per CDF edge. Scaling by a power of two is
+    exact, so edge <= k * 2**-53 holds exactly when K <= k for every 53-bit
+    integer k: comparing K with k bisects as comparing edge with the
+    variate Generator.random makes of k."""
+    return np.ceil(cdf * 2.0 ** 53).astype(np.uint64)
 
 
 def _branch_table(protocol: Protocol, trials: int, seed: int
                   ) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
     """Check the run size and seed, then precompute per-branch sampling tables.
 
-    Returns (branch labels, branch CDF, per-branch final CDFs) over the
+    Returns (branch labels, branch edges, per-branch final edges): the
+    integer edges of the branch CDF and of each branch's final CDF, over the
     branches of core.stage_branches.
     """
     if trials < 1:
@@ -147,28 +173,49 @@ def _branch_table(protocol: Protocol, trials: int, seed: int
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     labels, p, rows = stage_branches(protocol, protocol.intermediate)
-    # An unreachable branch gets a row of ones; it is never consulted.
-    finals = np.array([_clean_cdf(row) if row.any() else np.ones(len(row)) for row in rows])
-    return labels, _clean_cdf(p), finals
+    return labels, _integer_edges(_clean_cdfs(p[None])[0]), _integer_edges(_clean_cdfs(rows))
 
 
-def _draw(branch_cdf: np.ndarray, final_cdfs: np.ndarray, seed: int,
-          lo: int, hi: int) -> tuple[np.ndarray | int, np.ndarray]:
-    """Branch and final outcome indices of trials [lo, hi); lo is even.
-    The branch index is the scalar 0 when there is only one branch."""
-    bits = np.random.Philox(key=seed).advance(lo // 2)
-    uniforms = np.random.Generator(bits).random((hi - lo, 2))
-    # Right-bisect each trial's final CDF row one column at a time; the last
-    # column is exactly 1.0 and no variate reaches it.
-    final = np.zeros(hi - lo, dtype=np.intp)
-    if branch_cdf.size == 1:  # the branch CDF is [1.0]: no bisect needed
-        for edge in final_cdfs[0, :-1]:
-            final += edge <= uniforms[:, 1]
-        return 0, final
-    branch = np.searchsorted(branch_cdf, uniforms[:, 0], side="right")
-    for column in final_cdfs.T[:-1]:
-        final += column.take(branch) <= uniforms[:, 1]
+def _draw(branch_edges: np.ndarray, final_edges: np.ndarray,
+          bits: np.random.Philox, n: int) -> tuple[np.ndarray | int, np.ndarray]:
+    """Branch and final outcome indices of the next n trials of ``bits``.
+    The branch index is the scalar 0 when there is only one branch.
+
+    A trial reads two words of the Philox stream, the first for its branch
+    and the second for its final outcome, shifted right by 11 bits: the
+    53-bit integers k that Generator.random scales by 2**-53. Each index is
+    a right-bisect, one compare-and-add per edge but the last (it exceeds
+    every k), run on a contiguous copy of one word of each trial.
+    """
+    index = np.min_scalar_type(max(final_edges.shape) - 1)
+    words = bits.random_raw(2 * n)
+    words >>= 11
+    # At most one copy lives beside the words, and the intp branch index
+    # that take and bincount want is made only once the words are gone.
+    branch = 0
+    if branch_edges.size > 1:
+        variates = words[0::2].copy()
+        branch = np.zeros(n, dtype=index)
+        for edge in branch_edges[:-1]:
+            branch += edge <= variates
+        del variates
+    variates = words[1::2].copy()
+    del words
+    if branch_edges.size > 1:
+        branch = branch.astype(np.intp)
+    final = np.zeros(n, dtype=index)
+    for column in final_edges.T[:-1]:
+        final += column.take(branch) <= variates
     return branch, final
+
+
+def _draws(branch_edges: np.ndarray, final_edges: np.ndarray, seed: int,
+           lo: int, hi: int) -> Iterator[tuple[np.ndarray | int, np.ndarray]]:
+    """_draw's indices of trials [lo, hi), lo even, in runs of at most BLOCK
+    trials, all drawn from one Philox stream advanced to trial lo."""
+    bits = np.random.Philox(key=seed).advance(lo // 2)
+    for start in range(lo, hi, BLOCK):
+        yield _draw(branch_edges, final_edges, bits, min(BLOCK, hi - start))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -205,21 +252,20 @@ def trial_outcome_labels(protocol: Protocol, trials: int, seed: int
                          ) -> tuple[np.ndarray | None, np.ndarray]:
     """Per-trial outcome labels of the draws that run_ensemble tallies; the
     intermediate array is None when the protocol records no such outcome."""
-    _, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
-    chunks = [_draw(branch_cdf, final_cdfs, seed, lo, min(lo + CHUNK, trials))
-              for lo in range(0, trials, CHUNK)]
-    final = np.concatenate([f for _, f in chunks])
+    _, branch_edges, final_edges = _branch_table(protocol, trials, seed)
+    blocks = list(_draws(branch_edges, final_edges, seed, 0, trials))
+    final = np.concatenate([f for _, f in blocks])
     final_labels = np.array(protocol.post_pvm.labels, dtype=object)[final]
     if not protocol.intermediate_labels:
         return None, final_labels
-    branch = np.concatenate([np.broadcast_to(b, f.shape) for b, f in chunks])
+    branch = np.concatenate([np.broadcast_to(b, f.shape) for b, f in blocks])
     return np.array(protocol.intermediate_labels, dtype=object)[branch], final_labels
 
 
 def _joint_counts(branch: np.ndarray | int, final: np.ndarray,
-                  final_cdfs: np.ndarray) -> np.ndarray:
+                  final_edges: np.ndarray) -> np.ndarray:
     """Tally of (branch, final outcome) index pairs, flattened row-major."""
-    n_branch, n_final = final_cdfs.shape
+    n_branch, n_final = final_edges.shape
     return np.bincount(branch * n_final + final, minlength=n_branch * n_final)
 
 
@@ -241,10 +287,11 @@ def run_ensemble(protocol: Protocol, trials: int, seed: int,
     workers=None a worker count is chosen automatically; no more workers
     run than there are chunks, and more than MAX_WORKERS is an error.
     """
-    mids, branch_cdf, final_cdfs = _branch_table(protocol, trials, seed)
+    mids, branch_edges, final_edges = _branch_table(protocol, trials, seed)
 
     def count(lo: int, hi: int) -> np.ndarray:
-        return _joint_counts(*_draw(branch_cdf, final_cdfs, seed, lo, hi), final_cdfs)
+        return sum(_joint_counts(branch, final, final_edges)
+                   for branch, final in _draws(branch_edges, final_edges, seed, lo, hi))
 
     table = _run_chunks(trials, workers, count)
     return _ensemble_stats(protocol, trials, seed, mids, table)
@@ -259,17 +306,19 @@ def outcome_count_histogram(protocol: Protocol, label: str, trials: int,
     with run_ensemble's tally for the first seed, taken from the same draws."""
     target = protocol.post_pvm.index(label)  # KeyError if absent
     # The tables do not depend on the seed; checking the smallest checks all.
-    mids, branch_cdf, final_cdfs = _branch_table(protocol, trials, min(seeds))
+    mids, branch_edges, final_edges = _branch_table(protocol, trials, min(seeds))
     n_hist = len(seeds) + 1
 
     def count(lo: int, hi: int) -> np.ndarray:
-        hits = np.zeros(hi - lo, dtype=np.min_scalar_type(len(seeds)))
-        for k, seed in enumerate(seeds):
-            branch, final = _draw(branch_cdf, final_cdfs, seed, lo, hi)
-            if k == 0:
-                first = _joint_counts(branch, final, final_cdfs)
-            hits += final == target
-        return np.concatenate([np.bincount(hits, minlength=n_hist), first])
+        table = 0
+        # One block at a time, the draws of every seed for the same trials.
+        for blocks in zip(*(_draws(branch_edges, final_edges, seed, lo, hi) for seed in seeds)):
+            hits = np.zeros(blocks[0][1].size, dtype=np.min_scalar_type(len(seeds)))
+            for _, final in blocks:
+                hits += final == target
+            table = table + np.concatenate([np.bincount(hits, minlength=n_hist),
+                                            _joint_counts(*blocks[0], final_edges)])
+        return table
 
     table = _run_chunks(trials, workers, count)
     return table[:n_hist], _ensemble_stats(protocol, trials, seeds[0], mids,

@@ -332,7 +332,7 @@ def _loop_born(v: np.ndarray, pvm: ProjectiveMeasurement) -> tuple:
     if probs.min() < -EPS_NORM or probs.max() > 1.0 + EPS_NORM:
         raise ValueError(f"probabilities outside [0, 1]: {probs}")
     if abs(probs.sum() - 1.0) > EPS_NORM:
-        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
     return tuple(zip(pvm.labels, (float(p) for p in np.clip(probs, 0.0, 1.0))))
 
 
@@ -386,7 +386,7 @@ KERNEL_KINDS = ("rank1", "degenerate", "one_outcome", "basis", "near_eps")
 def _kernel_instance(seed: int):
     """Seeded (state, pvm, u, post) at dims 2-8. The query PVM is rank-1,
     degenerate, a single outcome, the basis itself, or rank-1 with a
-    completeness error just under EPS_NORM. The state is a basis vector
+    completeness error just under EPS_NORM in the spectral norm. The state is a basis vector
     (exactly zero branches against the basis PVM), one with a 1e-13 branch,
     or random."""
     rng = np.random.default_rng(seed)
@@ -398,7 +398,7 @@ def _kernel_instance(seed: int):
         mats = [np.diag(e) for e in np.eye(dim)]
     elif kind == "near_eps":
         mats = [np.outer(c, c.conj()) for c in random_unitary(rng, dim).T]
-        mats[0] = mats[0] * (1.0 + 0.8 * EPS_NORM / np.abs(mats[0]).max())
+        mats[0] = mats[0] * (1.0 + 0.8 * EPS_NORM)
     else:
         mats = random_pvm_projectors(rng, dim, allow_degenerate=kind == "degenerate")
     amps = [random_unit_vector(rng, dim), np.eye(dim)[int(rng.integers(dim))],
@@ -429,7 +429,7 @@ class TestStackedKernels:
             state, pvm, u, post, kind = _kernel_instance(seed)
             want = _result(_loop_branches, state, pvm, u, post)
             got = _result(branch_distributions, state, pvm, u, post)
-            if isinstance(want[0], type):  # a near-EPS_NORM PVM can break a sum
+            if isinstance(want[0], type):  # an error is raised as the loop raises it
                 assert got == want, seed
                 continue
             (p, rows), (want_p, want_rows) = got, want
@@ -438,7 +438,7 @@ class TestStackedKernels:
             zero_rows += bool(np.any(p == 0.0))
             tiny_rows += bool(np.any((p > 0.0) & (p <= EPS_PROB)))
             if kind == "near_eps":
-                error = np.abs(pvm.stack.sum(0) - np.eye(pvm.dim)).max()
+                error = np.linalg.norm(pvm.stack.sum(0) - np.eye(pvm.dim), 2)
                 near_eps += 0.5 * EPS_NORM < error <= EPS_NORM
         assert zero_rows >= 20 and tiny_rows >= 5 and near_eps >= 20
 
@@ -564,6 +564,10 @@ class TestDistribution:
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError):
             Distribution([("a", 0.6), ("b", 0.6)])
+
+    def test_bad_sum_is_shown_as_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, not 1$"):
+            Distribution([("a", 0.5), ("b", 0.6)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probability_rejected(self, bad):

@@ -18,6 +18,7 @@ from helpers import (
 )
 from prepost.abl import SelectionContext, post_outcome_distribution, sequence_probability
 from prepost.core import (
+    EPS_PROB,
     Distribution,
     FilterStage,
     MeasureStage,
@@ -41,6 +42,7 @@ from prepost.ensemble import (
     run_ensemble,
     trial_outcome_labels,
 )
+from prepost.ensemble import BLOCK, _clean_cdfs, _draws, _integer_edges
 
 S2 = 1.0 / math.sqrt(2.0)
 S3 = 1.0 / math.sqrt(3.0)
@@ -398,3 +400,95 @@ class TestWorkerBound:
         run(proto, MAX_WORKERS)
         with pytest.raises(ValueError, match=f"between 1 and {MAX_WORKERS}"):
             run(proto, MAX_WORKERS + 1)
+
+
+# The float sampler that the integer edges replaced, kept verbatim as the
+# reference: per-row CDFs, and a right-bisect of Generator.random's variates.
+
+def _clean_cdf(probs: np.ndarray) -> np.ndarray:
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
+    p[p <= EPS_PROB] = 0.0
+    total = p.sum()
+    if total <= 0.0:
+        raise ValueError("all outcomes have zero probability")
+    cdf = np.cumsum(p / total)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _float_draw(branch_cdf: np.ndarray, final_cdfs: np.ndarray, seed: int,
+                lo: int, hi: int) -> tuple[np.ndarray | int, np.ndarray]:
+    bits = np.random.Philox(key=seed).advance(lo // 2)
+    uniforms = np.random.Generator(bits).random((hi - lo, 2))
+    final = np.zeros(hi - lo, dtype=np.intp)
+    if branch_cdf.size == 1:
+        for edge in final_cdfs[0, :-1]:
+            final += edge <= uniforms[:, 1]
+        return 0, final
+    branch = np.searchsorted(branch_cdf, uniforms[:, 0], side="right")
+    for column in final_cdfs.T[:-1]:
+        final += column.take(branch) <= uniforms[:, 1]
+    return branch, final
+
+
+def _edge_table(rng: np.random.Generator, variates: np.ndarray,
+                rows: int, cols: int) -> np.ndarray:
+    """Float CDF rows whose inner edges sit exactly on drawn variates, one ulp
+    to either side of them, at 0.0, at 5e-324 or at an interior 1.0; the last
+    column is 1.0."""
+    pool = np.concatenate([variates, np.nextafter(variates, 0.0),
+                           np.nextafter(variates, 1.0), [0.0, 5e-324, 1.0]])
+    inner = np.sort(rng.choice(pool, size=(rows, cols - 1)), axis=1)
+    return np.hstack([inner, np.ones((rows, 1))])
+
+
+class TestIntegerBisect:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("offset", [1, 3, 12345, 2**40 + 1])
+    def test_random_scales_the_shifted_raw_words(self, seed, offset):
+        # The sampler reads outcomes off these integers; a numpy release that
+        # made its variates some other way would break the digests.
+        n = 1001
+        want = np.random.Generator(np.random.Philox(key=seed).advance(offset)).random((n, 2))
+        words = np.random.Philox(key=seed).advance(offset).random_raw(2 * n)
+        assert np.array_equal(want.ravel(), (words >> 11) * 2.0**-53)
+
+    def test_draw_equals_the_float_bisect(self):
+        rng = np.random.default_rng(13)
+        on_edge = 0
+        for k in range(300):
+            seed, lo = int(rng.integers(2**63)), 2 * int(rng.integers(2**40))
+            # Every tenth run spans a block boundary.
+            hi = lo + int(rng.integers(1, 200)) + (BLOCK if k % 10 == 0 else 0)
+            n_branch, n_final = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            bits = np.random.Philox(key=seed).advance(lo // 2)
+            variates = np.random.Generator(bits).random((hi - lo, 2))
+            branch_cdf = _edge_table(rng, variates[:, 0], 1, n_branch)[0]
+            final_cdfs = _edge_table(rng, variates[:, 1], n_branch, n_final)
+            want = _float_draw(branch_cdf, final_cdfs, seed, lo, hi)
+            blocks = list(_draws(_integer_edges(branch_cdf), _integer_edges(final_cdfs),
+                                 seed, lo, hi))
+            finals = np.concatenate([f for _, f in blocks])
+            branches = np.concatenate([np.broadcast_to(b, f.shape) for b, f in blocks])
+            assert np.array_equal(branches, np.broadcast_to(want[0], finals.shape)), k
+            assert np.array_equal(finals, want[1]), k
+            on_edge += np.isin(variates, final_cdfs[:, :-1]).sum()
+        assert on_edge >= 100
+
+    def test_stacked_cdfs_equal_the_per_row_cdfs(self):
+        rng = np.random.default_rng(5)
+        for k in range(200):
+            n_rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 20))
+            rows = rng.random((n_rows, n)) ** 4
+            tiny = rng.random(rows.shape) < 0.2
+            rows[tiny] = rng.choice([0.0, -1e-14, 1e-13, 1e-12, 2e-12], size=tiny.sum())
+            rows[:, 0] = rng.random(n_rows) + 0.1
+            rows[rng.random(n_rows) < 0.2] = 0.0  # unreached branches
+            if k % 2:
+                rows = np.asfortranarray(rows)
+            want = np.array([_clean_cdf(r) if r.any() else np.ones(n) for r in rows])
+            assert np.array_equal(_clean_cdfs(rows), want), k
+
+    def test_a_weightless_row_is_rejected(self):
+        with pytest.raises(ValueError, match="all outcomes have zero probability"):
+            _clean_cdfs(np.array([[0.5, 0.5], [1e-13, 0.0]]))

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_pvm_projectors
+from helpers import random_pvm_projectors, random_unit_vector, random_unitary
 from prepost.core import (
     EPS_NORM,
     DensityMatrix,
     DimensionMismatch,
     ProjectiveMeasurement,
+    PureState,
     UnitaryOp,
+    born_distribution,
 )
 
 E0 = np.diag([1.0, 0.0])
@@ -28,7 +30,8 @@ UNDER, OVER = 0.5 * EPS_NORM, 2.0 * EPS_NORM
 
 def pairwise_reference(outcomes) -> str | None:
     """First fault of a family of finite square projectors of one dimension,
-    or None: every outcome and every pair checked with its own np.allclose."""
+    or None: every outcome and every pair checked with its own np.allclose,
+    then the sum's distance to the identity in the spectral norm."""
     def close(a, b) -> bool:
         return np.allclose(a, b, atol=EPS_NORM, rtol=0.0)
 
@@ -43,7 +46,7 @@ def pairwise_reference(outcomes) -> str | None:
         for j in range(i + 1, len(mats)):
             if not close(mats[i] @ mats[j], 0.0):
                 return f"projectors {labels[i]!r} and {labels[j]!r} overlap"
-    if not close(sum(mats), np.eye(len(mats[0]))):
+    if np.linalg.norm(sum(mats) - np.eye(len(mats[0])), 2) > EPS_NORM:
         return "projectors do not sum to the identity"
     return None
 
@@ -140,6 +143,30 @@ class TestPvmToleranceEdges:
         ProjectiveMeasurement(family(UNDER))
         with pytest.raises(ValueError, match=message):
             ProjectiveMeasurement(family(OVER))
+
+
+@pytest.mark.parametrize("per_entry", [True, False])
+def test_accepted_completeness_error_cannot_make_born_raise(per_entry):
+    """P0 of a rank-1 dim-4 PVM scaled by 1 + 0.9e-10/max|P0| keeps every
+    entry of sum(P) - I within 0.9e-10, yet a state along P0 has a Born sum
+    that misses 1 by 0.9e-10/max|P0|: each such PVM is rejected or gives Born
+    distributions that pass Distribution's sum check. Scaled by 1 + 0.9e-10,
+    the error is 0.9e-10 in the spectral norm, and every PVM is accepted."""
+    rejected = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, 4)
+        mats = [np.outer(c, c.conj()) for c in u.T]
+        mats[0] = mats[0] * (1.0 + 0.9 * EPS_NORM / (np.abs(mats[0]).max() if per_entry else 1.0))
+        try:
+            pvm = ProjectiveMeasurement([(f"o{k}", m) for k, m in enumerate(mats)])
+        except ValueError as exc:
+            assert str(exc) == "projectors do not sum to the identity", seed
+            rejected += 1
+            continue
+        for amps in (u[:, 0], *(random_unit_vector(rng, 4) for _ in range(8))):
+            born_distribution(PureState(("a", "b", "c", "d"), amps), pvm)
+    assert rejected > 0 if per_entry else rejected == 0
 
 
 class TestUnitaryValidation:
