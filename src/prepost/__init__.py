@@ -25,6 +25,7 @@ from .core import (
     FilterStage,
     MeasureStage,
     ProjectiveMeasurement,
+    Protocol,
     PureState,
     UnitaryOp,
     UnitaryStage,
@@ -53,7 +54,6 @@ from .ensemble import (
     EmpiricalDistribution,
     EmptySelection,
     EnsembleStats,
-    Protocol,
     agreement_check,
     conditional_frequencies,
     run_ensemble,

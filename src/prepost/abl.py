@@ -60,13 +60,25 @@ class SelectionContext(Protocol):
                          selection=post_label)
 
 
-def selected_column(protocol: Protocol, stage: Stage) -> np.ndarray:
-    """Each branch's weight of reaching the protocol's selected outcome, with
-    ``stage`` in place of its own: p * rows[:, selection] of stage_branches."""
+def selected_column(protocol: Protocol, table: tuple) -> np.ndarray:
+    """Each branch's weight of reaching the protocol's selected outcome in
+    ``table``, a core.stage_branches result: p * rows[:, selection]."""
     if protocol.selection is None:
         raise ValueError("the protocol must fix a selected outcome")
-    _, p, rows = stage_branches(protocol, stage)
+    _, p, rows = table
     return p * rows[:, protocol.post_pvm.index(protocol.selection)]
+
+
+def _conditioned(protocol: Protocol, table: tuple) -> Distribution:
+    """The branches of ``table`` conditioned on the selected outcome: ABL's rule."""
+    weights = selected_column(protocol, table).tolist()
+    denominator = sum(weights)
+    if denominator <= EPS_PROB:
+        raise ImpossiblePostSelection(
+            f"outcome {protocol.selection!r} is unreachable through any outcome "
+            f"of the query (total weight {denominator!r})")
+    return Distribution(
+        [(label, w / denominator) for label, w in zip(table[0], weights)])
 
 
 def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
@@ -76,14 +88,7 @@ def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
     Raises ImpossiblePostSelection when every path weight vanishes, meaning
     that with Q measured in between, outcome b can never occur.
     """
-    weights = selected_column(ctx, MeasureStage(q)).tolist()
-    denominator = sum(weights)
-    if denominator <= EPS_PROB:
-        raise ImpossiblePostSelection(
-            f"outcome {ctx.selection!r} is unreachable through any outcome "
-            f"of the query (total weight {denominator!r})")
-    return Distribution(
-        [(label, w / denominator) for label, w in zip(q.labels, weights)])
+    return _conditioned(ctx, stage_branches(ctx, MeasureStage(q)))
 
 
 def sequence_probability(
@@ -102,13 +107,17 @@ def sequence_probability(
     else:
         pvm, label = intermediate
         stage, j = MeasureStage(pvm), pvm.index(label)
-    return selected_column(ctx, stage).tolist()[j]
+    return selected_column(ctx, stage_branches(ctx, stage)).tolist()[j]
 
 
 def final_distribution(protocol: Protocol, stage: Stage) -> Distribution:
     """Final-outcome distribution of ``protocol`` with ``stage`` in place of its
     own: the incoherent mixture over the branches of core.stage_branches."""
-    _, p, rows = stage_branches(protocol, stage)
+    return _mixture(protocol, stage, stage_branches(protocol, stage))
+
+
+def _mixture(protocol: Protocol, stage: Stage, table: tuple) -> Distribution:
+    _, p, rows = table
     post = protocol.post_pvm
     if isinstance(stage, FilterStage):
         j = stage.pvm.index(stage.pass_label)

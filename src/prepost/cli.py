@@ -58,6 +58,8 @@ def _json_object(text: str) -> dict:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise argparse.ArgumentTypeError("JSON is nested too deeply") from exc
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError("must be a JSON object")
     return value
@@ -189,6 +191,8 @@ def _dispatch_evaluate(args: argparse.Namespace) -> tuple[int, str]:
         raise CliError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError("config JSON is nested too deeply") from exc
     try:
         statement = CounterfactualStatement.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

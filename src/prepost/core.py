@@ -655,14 +655,14 @@ def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
 
 def stage_branches(protocol: Protocol, stage: Stage
                    ) -> tuple[tuple[str | None, ...], np.ndarray, np.ndarray]:
-    """The branches of ``stage`` run in ``protocol``'s timeline, in place of
-    the protocol's own intermediate stage.
+    """The joint table of ``stage`` run in ``protocol``'s timeline, in place
+    of the protocol's own intermediate stage.
 
     Returns (labels, p, rows): the branch labels, and p and rows as
     branch_distributions gives them over the outcomes of protocol.post_pvm.
-    No stage or a UnitaryStage is the single branch None of weight 1.0. A MeasureStage or FilterStage has one branch
-    per outcome of its PVM; a filter's absorbed branches end at its
-    absorb_label with certainty, and an unreached branch keeps a zero row.
+    No stage or a UnitaryStage is the one branch None of weight 1.0; a
+    MeasureStage or FilterStage has a branch per outcome of its PVM. A
+    filter's absorbed branches end at absorb_label; unreached ones keep zero rows.
     """
     at_t = evolve(protocol.preparation, protocol.pre_to_t)
     post = protocol.post_pvm

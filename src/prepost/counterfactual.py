@@ -4,17 +4,17 @@ A statement packages an actual experimental run (preparation, optionally an
 actually-performed intermediate measurement, and a post-selected final
 outcome) together with a hypothetical query measurement at the intermediate
 time. Two inequivalent readings of "had the query been measured, the
-conditional probabilities would have held" are implemented:
+conditional probabilities would have held" are implemented, both read off
+the query's joint (query outcome, final outcome) table, core.stage_branches:
 
 - single antecedent: the hypothetical world keeps only the preparation and
-  inserts the query. The final outcome is not re-imposed, so the world's
-  query statistics are plain Born weights of the evolved preparation.
+  inserts the query. The final outcome is not re-imposed, so the world is
+  the table's p, the query's Born weights from the evolved preparation.
 
 - compound antecedent: the hypothetical world inserts the query and is
   additionally required to end in the same final outcome. Conditioning the
-  joint world on that outcome reproduces the claimed conditional
-  distribution identically, which is what makes this reading true by
-  construction.
+  table on that outcome is the claim itself (the ABL rule, by one routine),
+  so this reading is true by construction: max_deviation is exactly 0.0.
 
 The cotenability report quantifies whether inserting the query disturbs
 the distribution over final outcomes at all. A compound reading whose
@@ -26,22 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .abl import (ImpossiblePostSelection, abl_distribution, final_distribution,
-                  selected_column)
-from .core import (
-    EPS_COTEN,
-    EPS_NORM,
-    EPS_PROB,
-    Distribution,
-    FilterStage,
-    MeasureStage,
-    ProjectiveMeasurement,
-    Protocol,
-    Stage,
-    born_distribution,
-    evolve,
-    total_variation,
-)
+from .abl import _conditioned, _mixture, final_distribution
+from .core import (EPS_COTEN, EPS_NORM, Distribution, FilterStage, MeasureStage,
+                   ProjectiveMeasurement, Protocol, Stage, stage_branches,
+                   total_variation)
 
 
 class Flavor(str, Enum):
@@ -144,16 +132,14 @@ def counterfactual_distribution(stmt: CounterfactualStatement) -> Distribution:
     conditioned on reaching the actual post-selected outcome; raises
     ImpossiblePostSelection when that outcome is unreachable.
     """
-    p = stmt.base_protocol
+    return _world(stmt, stage_branches(stmt.base_protocol, MeasureStage(stmt.query)))
+
+
+def _world(stmt: CounterfactualStatement, asked: tuple) -> Distribution:
+    """The flavor's world read off ``asked``, the table with the query inserted."""
     if stmt.flavor is Flavor.SINGLE:
-        return born_distribution(evolve(p.preparation, p.pre_to_t), stmt.query)
-    column = selected_column(p, MeasureStage(stmt.query))
-    total = column.sum()
-    if total <= EPS_PROB:
-        raise ImpossiblePostSelection(
-            f"outcome {p.selection!r} is unreachable with the query inserted")
-    return Distribution(
-        [(label, w / total) for label, w in zip(stmt.query.labels, column)])
+        return Distribution(list(zip(asked[0], asked[1])))
+    return _conditioned(stmt.base_protocol, asked)
 
 
 def cotenability_report(base_protocol: Protocol,
@@ -168,14 +154,16 @@ def cotenability_report(base_protocol: Protocol,
     p = base_protocol
     if p.selection is None:
         raise ValueError("the protocol must fix a selected outcome")
-    if isinstance(query, ProjectiveMeasurement):
-        inserted: Stage = MeasureStage(query)
-    elif isinstance(query, (MeasureStage, FilterStage)):
-        inserted = query
-    else:
+    inserted = MeasureStage(query) if isinstance(query, ProjectiveMeasurement) else query
+    if not isinstance(inserted, (MeasureStage, FilterStage)):
         raise TypeError(f"cannot insert {query!r} as an intervening stage")
+    return _cotenability(p, inserted, stage_branches(p, inserted))
+
+
+def _cotenability(p: Protocol, inserted: Stage, asked: tuple) -> CotenabilityReport:
+    """The report, its disturbed side read off ``asked``, the inserted stage's table."""
     undisturbed = final_distribution(p, p.intermediate)
-    disturbed = final_distribution(p, inserted)
+    disturbed = _mixture(p, inserted, asked)
     tvd = total_variation(undisturbed, disturbed)
     delta = disturbed.probability(p.selection) - undisturbed.probability(p.selection)
     return CotenabilityReport(undisturbed, disturbed, tvd, delta,
@@ -186,8 +174,9 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
     """Judge the statement: compare the claim with its hypothetical world.
 
     The claimed distribution is the conditional (ABL) distribution of query
-    outcomes given both selections; the world distribution comes from
-    counterfactual_distribution. Classification:
+    outcomes given both selections; the world distribution is
+    counterfactual_distribution's. Both and the disturbed side of the
+    cotenability report come from one table, the query's. Classification:
 
     - single antecedent: FALSE when the world deviates from the claim,
       TRUE_BY_COINCIDENCE when it happens to match (commuting cases).
@@ -195,10 +184,11 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
       when the insertion is cotenable with the selection, TRIVIALLY_TRUE
       otherwise.
     """
-    claimed = abl_distribution(stmt.base_protocol, stmt.query)
-    world = counterfactual_distribution(stmt)
+    p, inserted = stmt.base_protocol, MeasureStage(stmt.query)
+    asked = stage_branches(p, inserted)
+    claimed, world = _conditioned(p, asked), _world(stmt, asked)
     deviation = total_variation(claimed, world)
-    cotenable = cotenability_report(stmt.base_protocol, stmt.query).cotenable
+    cotenable = _cotenability(p, inserted, asked).cotenable
     if stmt.flavor is Flavor.SINGLE:
         classification = (Classification.TRUE_BY_COINCIDENCE
                           if deviation <= EPS_NORM else Classification.FALSE)

@@ -24,6 +24,7 @@ from .core import (
     FilterStage,
     MeasureStage,
     ProjectiveMeasurement,
+    Protocol,
     PureState,
     UnitaryOp,
     UnitaryStage,
@@ -46,7 +47,6 @@ from .ensemble import (
     EmpiricalDistribution,
     EmptySelection,
     EnsembleStats,
-    Protocol,
     agreement_check,
     conditional_frequencies,
     outcome_count_histogram,

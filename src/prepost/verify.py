@@ -29,6 +29,7 @@ from .core import (
     EPS_VERIFY as TOLERANCE,
     Distribution,
     ProjectiveMeasurement,
+    Protocol,
     PureState,
     UnitaryOp,
     born_distribution,
@@ -41,7 +42,7 @@ from .counterfactual import (
     cotenability_report,
     evaluate,
 )
-from .ensemble import Protocol, resolve_workers
+from .ensemble import resolve_workers
 from .scenarios import available_scenarios, run_scenario
 
 DIMS = (2, 3, 4)

@@ -166,6 +166,13 @@ class TestScenario:
         assert code == 2
         assert "query_box" in err
 
+    def test_deeply_nested_params_are_an_input_error(self, capsys):
+        deep = '{"a": %s%s}' % ("[" * 40_000, "]" * 40_000)
+        code, out, err = run_cli(capsys, "scenario", "three_box", "--params", deep)
+        assert code == 2
+        assert "nested too deeply" in err
+        assert out == ""
+
 
 class TestEvaluate:
     def test_shipped_config_is_judged_false(self, capsys):
@@ -196,6 +203,14 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--config", str(bad))
         assert code == 2
         assert err
+
+    def test_deeply_nested_config_prints_one_line(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "evaluate", "--config", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "nested too deeply" in err
 
     def test_nan_amplitude_is_an_input_error(self, capsys, tmp_path):
         data = json.loads((CONFIG_DIR / "aad_single.json").read_text())
