@@ -106,21 +106,36 @@ def _complete(error: np.ndarray) -> bool:
 
 def _quiet_overflow() -> np.errstate:
     """Scope for building a value from JSON input. The constructors'
-    validation products overflow on finite entries near 1e308; the inf or nan
-    they yield fails the check that reads them, which reports the one error,
-    so numpy's warnings about it are noise. Entering the scope costs a few
-    microseconds, so the constructors, which computed values reach on hot
-    paths, do not enter it themselves."""
+    validation products overflow on finite entries near 1e308, even beside an
+    inf; the inf or nan they yield fails the check that reads them, which
+    reports the one error, so numpy's warnings about it are noise. Entering
+    the scope costs a few microseconds, so the constructors, which computed
+    values reach on hot paths, do not enter it themselves."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def _square(raw, what: str, not_square: str) -> np.ndarray:
+    """raw as a complex matrix that is finite, square and nonempty; names ``what`` if not."""
+    m = np.asarray(raw, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} {not_square}")
+    if m.size == 0:
+        raise ValueError(f"{what} is empty (0x0)")
+    return m
 
 
 def _renormalised(x: np.ndarray, what: str) -> np.ndarray:
     """Each row of x over its norm, taken as np.linalg.norm takes it: dots of
-    the strided .real/.imag views (a contiguous copy moves low-order bits)."""
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} has non-finite amplitudes")
-    norms = np.sqrt(sum(r[:, None, :] @ r[:, :, None] for r in (x.real, x.imag)))[:, 0]
-    for norm in norms[np.abs(norms - 1.0) > NORM_REPAIR][:1]:
+    the strided .real/.imag views (a contiguous copy moves low-order bits).
+    A non-finite row's norm is inf or nan, so one norm test covers both checks."""
+    re, im = x.real, x.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    if not np.abs(norms - 1.0).max(initial=0.0) <= NORM_REPAIR:
+        if not np.isfinite(x).all():
+            raise ValueError(f"{what} has non-finite amplitudes")
+        norm = norms[np.abs(norms - 1.0) > NORM_REPAIR][0]
         raise ValueError(f"{what} has norm {float(norm)!r}, expected 1")
     return x / norms
 
@@ -181,32 +196,31 @@ class ProjectiveMeasurement:
         if not outcomes:
             raise ValueError("a measurement needs at least one outcome")
         labels = _check_unique([label for label, _ in outcomes], "outcome")
-        mats = []
-        for (label, raw) in outcomes:
-            p = np.asarray(raw, dtype=complex)
-            if not np.isfinite(p).all():
-                raise ValueError(f"projector for {label!r} has non-finite entries")
-            if p.ndim != 2 or p.shape[0] != p.shape[1]:
-                raise ValueError(f"projector for {label!r} is not square")
-            if p.size == 0:
-                raise ValueError(f"projector for {label!r} is empty (0x0)")
-            if mats and p.shape != mats[0].shape:
-                raise DimensionMismatch("projectors have mixed dimensions")
-            mats.append(p)
-        stack = np.array(mats)
+        try:
+            stack = np.array([raw for _, raw in outcomes], dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # ragged or not numbers
+            stack = np.empty(0)
+        # One test over the stack; the loop, which raises, names the first bad projector.
+        if stack.ndim != 3 or not 0 < stack.shape[1] == stack.shape[2] or not np.isfinite(stack).all():
+            for (label, raw) in outcomes:
+                p = _square(raw, f"projector for {label!r}", "is not square")
+                if p.shape != np.shape(outcomes[0][1]):
+                    raise DimensionMismatch("projectors have mixed dimensions")
         n, dim = stack.shape[:2]
-        hermitian = _within_eps(stack, stack.conj().transpose(0, 2, 1), (1, 2))
-        # Block (i, j) of rows @ columns is P_i P_j, which must equal δ_ij P_i.
+        adjoint = stack.conj().transpose(0, 2, 1)
+        # Block (i, j) is P_i P_j, which must equal δ_ij P_i (einsum views block (i, i)).
         blocks = (stack.reshape(n * dim, dim) @ stack.transpose(1, 0, 2).reshape(
             dim, n * dim)).reshape(n, dim, n, dim)
-        blocks[np.arange(n), :, np.arange(n)] -= stack
-        product_ok = _within_eps(blocks, 0.0, (1, 3))
-        faults = [f"projector for {label!r} is not {'idempotent' if h else 'Hermitian'}"
-                  for label, h, ok in zip(labels, hermitian, product_ok.diagonal())
-                  if not (h and ok)]
-        faults += [f"projectors {labels[i]!r} and {labels[j]!r} overlap"
-                   for i, j in zip(*np.nonzero(~product_ok)) if i < j]
-        if faults or not _complete(stack.sum(0) - np.eye(dim)):
+        np.einsum("ijik->ijk", blocks)[...] -= stack
+        if not (_within_eps(stack, adjoint) and _within_eps(blocks, 0.0)
+                and _complete(stack.sum(0) - np.eye(dim))):
+            hermitian = _within_eps(stack, adjoint, (1, 2))
+            product_ok = _within_eps(blocks, 0.0, (1, 3))
+            faults = [f"projector for {label!r} is not {'idempotent' if h else 'Hermitian'}"
+                      for label, h, ok in zip(labels, hermitian, product_ok.diagonal())
+                      if not (h and ok)]
+            faults += [f"projectors {labels[i]!r} and {labels[j]!r} overlap"
+                       for i, j in zip(*np.nonzero(~product_ok)) if i < j]
             raise ValueError((faults or ["projectors do not sum to the identity"])[0])
         self.stack = _frozen(stack)
         self.outcomes = tuple(zip(labels, self.stack))
@@ -275,13 +289,7 @@ class UnitaryOp:
     """Unitary evolution operator on a single system."""
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("unitary matrix has non-finite entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("unitary matrix must be square")
-        if m.size == 0:
-            raise ValueError("unitary matrix is empty (0x0)")
+        m = _square(matrix, "unitary matrix", "must be square")
         if not _within_eps(m.conj().T @ m, np.eye(m.shape[0])):
             raise ValueError("matrix is not unitary")
         self.matrix = _frozen(m.copy())
@@ -341,13 +349,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has non-finite entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if m.size == 0:
-            raise ValueError("density matrix is empty (0x0)")
+        m = _square(matrix, "density matrix", "must be square")
         if not _within_eps(m, m.conj().T):
             raise ValueError("density matrix is not Hermitian")
         if abs(np.real(np.trace(m)) - 1.0) > EPS_NORM:
@@ -411,13 +413,16 @@ class Distribution:
 
 def _checked_rows(probs: np.ndarray) -> np.ndarray:
     """Each nonempty row of probs checked as a Distribution checks it, then clipped."""
-    finite, total = np.isfinite(probs).all(axis=1), probs.sum(axis=1)
-    outside = (probs.min(axis=1) < -EPS_NORM) | (probs.max(axis=1) > 1.0 + EPS_NORM)
-    for k in np.flatnonzero(~finite | outside | (np.abs(total - 1.0) > EPS_NORM))[:1]:
+    total = probs.sum(axis=1)  # one test for the whole array; a nan fails each comparison
+    if not (probs.min(initial=0.0) >= -EPS_NORM and probs.max(initial=1.0) <= 1.0 + EPS_NORM
+            and np.abs(total - 1.0).max(initial=0.0) <= EPS_NORM):
+        finite = np.isfinite(probs).all(axis=1)
+        outside = (probs.min(axis=1) < -EPS_NORM) | (probs.max(axis=1) > 1.0 + EPS_NORM)
+        k = np.flatnonzero(~finite | outside | (np.abs(total - 1.0) > EPS_NORM))[0]
         raise ValueError(f"non-finite probabilities: {probs[k]}" if not finite[k] else
                          f"probabilities outside [0, 1]: {probs[k]}" if outside[k] else
                          f"probabilities sum to {float(total[k])!r}, not 1")
-    return np.clip(probs, 0.0, 1.0)
+    return probs.clip(0.0, 1.0)
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:
@@ -566,6 +571,8 @@ class Protocol:
             raw = data.get(key)
             return None if raw is None else UnitaryOp.from_json_dict(raw)
 
+        if not isinstance(data, dict):
+            raise ValueError(f"protocol must be a JSON object, got {type(data).__name__}")
         selection = data.get("selection")
         if selection is not None and type(selection) is not str:
             raise ValueError("selection must be a string or null, "
@@ -594,10 +601,9 @@ def _born_rows(x: np.ndarray, pvm: ProjectiveMeasurement) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def _projected(state: PureState, pvm: ProjectiveMeasurement, which) -> np.ndarray:
+def _projected(a: np.ndarray, pvm: ProjectiveMeasurement, which) -> np.ndarray:
     """Rows P_j a / sqrt(<P_j a|P_j a>) for the outcome indices j in ``which``."""
-    _require_same_dim(state.dim, pvm.dim, "state vs measurement")
-    x = pvm.stack[which] @ state.amplitudes
+    x = pvm.stack[which] @ a
     weights = (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
     for j in np.flatnonzero(weights <= EPS_PROB)[:1]:
         raise ZeroProbabilityOutcome(
@@ -618,13 +624,20 @@ def collapse(state: PureState, pvm: ProjectiveMeasurement,
     Raises ZeroProbabilityOutcome when the branch carries no weight; there
     is no state to collapse onto in that case.
     """
-    return PureState(state.basis_labels,
-                     _projected(state, pvm, [pvm.index(outcome_label)])[0])
+    which = [pvm.index(outcome_label)]
+    _require_same_dim(state.dim, pvm.dim, "state vs measurement")
+    return PureState(state.basis_labels, _projected(state.amplitudes, pvm, which)[0])
 
 
 def evolve(state: PureState, u: UnitaryOp) -> PureState:
     _require_same_dim(state.dim, u.dim, "state vs unitary")
     return PureState(state.basis_labels, u.matrix @ state.amplitudes)
+
+
+def _evolved(a: np.ndarray, u: UnitaryOp) -> np.ndarray:
+    """evolve's amplitudes, from and to a bare vector: no PureState is built."""
+    _require_same_dim(len(a), u.dim, "state vs unitary")
+    return _renormalised((u.matrix @ a)[None], "state vector")[0]
 
 
 def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
@@ -641,12 +654,17 @@ def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
     Stacked matmuls over all live branches, bit-identical to chaining
     born_distribution, collapse, evolve and born_distribution per branch
     where BLAS runs the same kernels for both forms and the norms use the
-    strided views (see _renormalised). Checks run stage by stage.
+    strided views (see _renormalised). Each check is one test of a stacked
+    array; only a failing test walks its rows, to raise what the chain would.
     """
-    p = _checked_rows(_born_rows(state.amplitudes[None], pvm))[0]
-    live = p > EPS_PROB
-    x = _renormalised(_projected(state, pvm, np.flatnonzero(live)), "state vector")
-    _require_same_dim(state.dim, u.dim, "state vs unitary")
+    return _branches(state.amplitudes, pvm, u, post)
+
+
+def _branches(a: np.ndarray, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
+    p = _checked_rows(_born_rows(a[None], pvm))[0]
+    live = (p > EPS_PROB).nonzero()[0]
+    x = _renormalised(_projected(a, pvm, live), "state vector")
+    _require_same_dim(len(a), u.dim, "state vs unitary")
     x = _renormalised((u.matrix @ x[:, :, None])[:, :, 0], "state vector")
     rows = np.zeros((len(p), len(post.stack)))
     rows[live] = _checked_rows(_born_rows(x, post))
@@ -664,14 +682,14 @@ def stage_branches(protocol: Protocol, stage: Stage
     MeasureStage or FilterStage has a branch per outcome of its PVM. A
     filter's absorbed branches end at absorb_label; unreached ones keep zero rows.
     """
-    at_t = evolve(protocol.preparation, protocol.pre_to_t)
+    at_t = _evolved(protocol.preparation.amplitudes, protocol.pre_to_t)
     post = protocol.post_pvm
     if stage is None or isinstance(stage, UnitaryStage):
         if stage is not None:
-            at_t = evolve(at_t, stage.unitary)
-        final = evolve(at_t, protocol.t_to_post)
-        return (None,), np.array([1.0]), _checked_rows(_born_rows(final.amplitudes[None], post))
-    p, rows = branch_distributions(at_t, stage.pvm, protocol.t_to_post, post)
+            at_t = _evolved(at_t, stage.unitary)
+        final = _evolved(at_t, protocol.t_to_post)
+        return (None,), np.array([1.0]), _checked_rows(_born_rows(final[None], post))
+    p, rows = _branches(at_t, stage.pvm, protocol.t_to_post, post)
     if isinstance(stage, FilterStage):
         absorbed = np.arange(len(p)) != stage.pvm.index(stage.pass_label)
         rows[absorbed] = np.eye(len(post.labels))[post.index(stage.absorb_label)]
