@@ -36,7 +36,6 @@ from .core import (
     embed_pvm,
     evolve,
     reduced_density,
-    tensor,
     total_variation,
 )
 from .counterfactual import (
@@ -120,7 +119,6 @@ __all__ = [
     "run_scenario",
     "run_verification",
     "sequence_probability",
-    "tensor",
     "total_variation",
     "trial_outcome_labels",
 ]

@@ -110,9 +110,10 @@ def sequence_probability(
     return selected_column(ctx, stage_branches(ctx, stage)).tolist()[j]
 
 
-def final_distribution(protocol: Protocol, stage: Stage) -> Distribution:
-    """Final-outcome distribution of ``protocol`` with ``stage`` in place of its
-    own: the incoherent mixture over the branches of core.stage_branches."""
+def final_distribution(protocol: Protocol) -> Distribution:
+    """Final-outcome distribution of ``protocol``: the incoherent mixture over
+    the branches of its intermediate stage, core.stage_branches'."""
+    stage = protocol.intermediate
     return _mixture(protocol, stage, stage_branches(protocol, stage))
 
 
@@ -146,5 +147,4 @@ def post_outcome_distribution(
     """
     if isinstance(intermediate, ProjectiveMeasurement):
         intermediate = MeasureStage(intermediate)
-    protocol = Protocol(pre, post_pvm, intermediate, pre_to_t, t_to_post)
-    return final_distribution(protocol, intermediate)
+    return final_distribution(Protocol(pre, post_pvm, intermediate, pre_to_t, t_to_post))

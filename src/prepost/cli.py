@@ -24,6 +24,14 @@ class CliError(Exception):
     """Input or usage problem; maps to exit status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors print one stderr line, newlines
+    escaped, as every other exit 2 does; subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(2, "error: " + message.replace("\n", "\\n") + "\n")
+
+
 # Upper bound on --trials; larger values are input errors (exit 2), like
 # --workers above ensemble.MAX_WORKERS. Sampling time grows with the trials.
 MAX_TRIALS = 10**9
@@ -66,7 +74,7 @@ def _json_object(text: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prepost",
         description="Simulate and analyze pre- and post-selected quantum "
                     "systems: conditional probabilities, seeded ensembles, "

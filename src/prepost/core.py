@@ -30,6 +30,8 @@ EPS_AGREE = 1e-10
 EPS_COTEN = 1e-10
 # Largest error a verify suite accepts between two routes to the same quantity.
 EPS_VERIFY = 1e-10
+# Most entries in one run of a measurement's validation products P_i P_j.
+PRODUCT_ENTRIES = 1 << 20
 
 Side = Literal["left", "right"]
 _JSON_NUMBERS = frozenset({int, float})  # exact types: a JSON true is a bool, an int
@@ -140,6 +142,21 @@ def _renormalised(x: np.ndarray, what: str) -> np.ndarray:
     return x / norms
 
 
+def _product_errors(stack: np.ndarray):
+    """P_i P_j - δ_ij P_i over the projectors of ``stack``, one run of
+    outcomes i from lo at a time, as blocks (i - lo, :, j, :). A run holds
+    at most PRODUCT_ENTRIES entries, or one outcome's products where those
+    are more, so working memory stays in proportion to the stack."""
+    n, dim = stack.shape[:2]
+    right = stack.transpose(1, 0, 2).reshape(dim, n * dim)
+    size = max(1, PRODUCT_ENTRIES // (n * dim * dim))
+    for lo in range(0, n, size):
+        part = stack[lo:lo + size]
+        blocks = (part.reshape(-1, dim) @ right).reshape(len(part), dim, n, dim)
+        np.einsum("ijik->ijk", blocks[:, :, lo:lo + size])[...] -= part  # the diagonal blocks
+        yield blocks
+
+
 def _check_unique(labels: Sequence[str], what: str) -> tuple[str, ...]:
     out = tuple(str(l) for l in labels)
     if len(set(out)) != len(out):
@@ -206,16 +223,13 @@ class ProjectiveMeasurement:
                 p = _square(raw, f"projector for {label!r}", "is not square")
                 if p.shape != np.shape(outcomes[0][1]):
                     raise DimensionMismatch("projectors have mixed dimensions")
-        n, dim = stack.shape[:2]
         adjoint = stack.conj().transpose(0, 2, 1)
-        # Block (i, j) is P_i P_j, which must equal δ_ij P_i (einsum views block (i, i)).
-        blocks = (stack.reshape(n * dim, dim) @ stack.transpose(1, 0, 2).reshape(
-            dim, n * dim)).reshape(n, dim, n, dim)
-        np.einsum("ijik->ijk", blocks)[...] -= stack
-        if not (_within_eps(stack, adjoint) and _within_eps(blocks, 0.0)
-                and _complete(stack.sum(0) - np.eye(dim))):
+        if not (_within_eps(stack, adjoint)
+                and all(_within_eps(run, 0.0) for run in _product_errors(stack))
+                and _complete(stack.sum(0) - np.eye(stack.shape[1]))):
             hermitian = _within_eps(stack, adjoint, (1, 2))
-            product_ok = _within_eps(blocks, 0.0, (1, 3))
+            product_ok = np.concatenate([_within_eps(run, 0.0, (1, 3))
+                                         for run in _product_errors(stack)])
             faults = [f"projector for {label!r} is not {'idempotent' if h else 'Hermitian'}"
                       for label, h, ok in zip(labels, hermitian, product_ok.diagonal())
                       if not (h and ok)]
@@ -335,10 +349,9 @@ class BipartiteState:
     def dims(self) -> tuple[int, int]:
         return (len(self.left_labels), len(self.right_labels))
 
-    def to_pure_state(self, separator: str = "*") -> PureState:
-        """Flatten to a single-system state over product basis labels."""
-        labels = [f"{l}{separator}{r}"
-                  for l in self.left_labels for r in self.right_labels]
+    def to_pure_state(self) -> PureState:
+        """Flatten to a single-system state over product basis labels "l*r"."""
+        labels = [f"{l}*{r}" for l in self.left_labels for r in self.right_labels]
         return PureState(labels, self.amplitudes)
 
     def __repr__(self) -> str:
@@ -634,38 +647,17 @@ def evolve(state: PureState, u: UnitaryOp) -> PureState:
     return PureState(state.basis_labels, u.matrix @ state.amplitudes)
 
 
-def _evolved(a: np.ndarray, u: UnitaryOp) -> np.ndarray:
-    """evolve's amplitudes, from and to a bare vector: no PureState is built."""
-    _require_same_dim(len(a), u.dim, "state vs unitary")
-    return _renormalised((u.matrix @ a)[None], "state vector")[0]
-
-
-def branch_distributions(state: PureState, pvm: ProjectiveMeasurement,
-                         u: UnitaryOp, post: ProjectiveMeasurement
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Born weights of ``pvm``'s outcomes and what follows each of them.
-
-    Returns (p, rows): p[j] is the Born weight of outcome j in ``state``, and
-    rows[j] the Born distribution of ``post`` once the state has collapsed
-    onto outcome j and evolved by ``u``. Outcomes with p[j] <= EPS_PROB are
-    not collapsed and get a zero row. The path weight through outcome j to
-    final outcome k is p[j] * rows[j, k] (Aharonov, Bergmann & Lebowitz).
-
-    Stacked matmuls over all live branches, bit-identical to chaining
-    born_distribution, collapse, evolve and born_distribution per branch
-    where BLAS runs the same kernels for both forms and the norms use the
-    strided views (see _renormalised). Each check is one test of a stacked
-    array; only a failing test walks its rows, to raise what the chain would.
-    """
-    return _branches(state.amplitudes, pvm, u, post)
+def _evolved(x: np.ndarray, u: UnitaryOp) -> np.ndarray:
+    """evolve's amplitudes for each row of x: no PureState is built."""
+    _require_same_dim(x.shape[1], u.dim, "state vs unitary")
+    return _renormalised((u.matrix @ x[:, :, None])[:, :, 0], "state vector")
 
 
 def _branches(a: np.ndarray, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
+    """(p, rows) of stage_branches for the state a measured by ``pvm``."""
     p = _checked_rows(_born_rows(a[None], pvm))[0]
     live = (p > EPS_PROB).nonzero()[0]
-    x = _renormalised(_projected(a, pvm, live), "state vector")
-    _require_same_dim(len(a), u.dim, "state vs unitary")
-    x = _renormalised((u.matrix @ x[:, :, None])[:, :, 0], "state vector")
+    x = _evolved(_renormalised(_projected(a, pvm, live), "state vector"), u)
     rows = np.zeros((len(p), len(post.stack)))
     rows[live] = _checked_rows(_born_rows(x, post))
     return p, rows
@@ -676,30 +668,33 @@ def stage_branches(protocol: Protocol, stage: Stage
     """The joint table of ``stage`` run in ``protocol``'s timeline, in place
     of the protocol's own intermediate stage.
 
-    Returns (labels, p, rows): the branch labels, and p and rows as
-    branch_distributions gives them over the outcomes of protocol.post_pvm.
-    No stage or a UnitaryStage is the one branch None of weight 1.0; a
-    MeasureStage or FilterStage has a branch per outcome of its PVM. A
-    filter's absorbed branches end at absorb_label; unreached ones keep zero rows.
+    Returns (labels, p, rows): the branch labels, each branch j's Born weight
+    p[j], and rows[j], the Born distribution of protocol.post_pvm once the
+    state has collapsed onto branch j and evolved to the final time. The
+    path weight through outcome j to final outcome k is p[j] * rows[j, k]
+    (Aharonov, Bergmann & Lebowitz). No stage or a UnitaryStage is the one
+    branch None of weight 1.0; a MeasureStage or FilterStage has a branch
+    per outcome of its PVM. A branch with p[j] <= EPS_PROB is not collapsed
+    and gets a zero row; a filter's absorbed branches end at absorb_label.
+
+    Stacked matmuls over all live branches, bit-identical to chaining
+    born_distribution, collapse, evolve and born_distribution per branch
+    where BLAS runs the same kernels for both forms and the norms use the
+    strided views (see _renormalised). Each check is one test of a stacked
+    array; only a failing test walks its rows, to raise what the chain would.
     """
-    at_t = _evolved(protocol.preparation.amplitudes, protocol.pre_to_t)
+    at_t = _evolved(protocol.preparation.amplitudes[None], protocol.pre_to_t)
     post = protocol.post_pvm
     if stage is None or isinstance(stage, UnitaryStage):
         if stage is not None:
             at_t = _evolved(at_t, stage.unitary)
         final = _evolved(at_t, protocol.t_to_post)
-        return (None,), np.array([1.0]), _checked_rows(_born_rows(final[None], post))
-    p, rows = _branches(at_t, stage.pvm, protocol.t_to_post, post)
+        return (None,), np.array([1.0]), _checked_rows(_born_rows(final, post))
+    p, rows = _branches(at_t[0], stage.pvm, protocol.t_to_post, post)
     if isinstance(stage, FilterStage):
         absorbed = np.arange(len(p)) != stage.pvm.index(stage.pass_label)
         rows[absorbed] = np.eye(len(post.labels))[post.index(stage.absorb_label)]
     return stage.pvm.labels, p, rows
-
-
-def tensor(left: PureState, right: PureState) -> BipartiteState:
-    """Product state, row-major in (left, right) subsystem order."""
-    return BipartiteState(left.basis_labels, right.basis_labels,
-                          np.kron(left.amplitudes, right.amplitudes))
 
 
 def reduced_density(bi: BipartiteState, side: Side) -> DensityMatrix:

@@ -162,7 +162,7 @@ def cotenability_report(base_protocol: Protocol,
 
 def _cotenability(p: Protocol, inserted: Stage, asked: tuple) -> CotenabilityReport:
     """The report, its disturbed side read off ``asked``, the inserted stage's table."""
-    undisturbed = final_distribution(p, p.intermediate)
+    undisturbed = final_distribution(p)
     disturbed = _mixture(p, inserted, asked)
     tvd = total_variation(undisturbed, disturbed)
     delta = disturbed.probability(p.selection) - undisturbed.probability(p.selection)

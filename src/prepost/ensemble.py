@@ -7,16 +7,17 @@ filter), evolves to the final time, and measures the final PVM. Only joint
 
 Determinism contract: the two uniform variates consumed by trial i are a
 fixed function of (seed, i), namely rows of a counter-based Philox stream
-keyed by the seed. Each even-aligned chunk of CHUNK trials is drawn, in
-blocks of BLOCK trials, from the stream advanced to its first trial.
+keyed by the seed. Trials are split between workers in runs of whole
+chunks of CHUNK trials; each run is drawn, in blocks of BLOCK trials, from
+one stream advanced to its first trial, which is even.
 Outcomes are read from the same 53-bit integers (each 64-bit word shifted
 right by 11) that Generator.random scales by 2**-53, against CDF edges
 rounded up to that grid, so every outcome is the one a float bisect of
 Generator.random's variates gives. Every tally, run_ensemble's and the
 per-trial outcome counts over many seeded streams (the quantum raffle's
-coins), is summed by worker threads that each draw their own run of whole
-chunks: counts are byte-identical for every worker count, and memory does
-not depend on the number of trials.
+coins), is summed by worker threads that each draw their own run: counts
+are byte-identical for every worker count, and memory does not depend on
+the number of trials.
 """
 from __future__ import annotations
 
@@ -30,13 +31,14 @@ import numpy as np
 from .core import EPS_AGREE, EPS_PROB, Distribution, Protocol, stage_branches
 
 
-# Trials per variate chunk. Even, because one Philox counter step yields the
-# four 64-bit words of two trials, so only even trials can start a chunk.
+# Trials per chunk, the unit in which trials are split between workers. Even,
+# because one Philox counter step yields the four 64-bit words of two trials,
+# so only even trials can start a worker's run.
 CHUNK = 1 << 16
 # Trials per _draw call. Its buffers, about 24 bytes a trial at their peak,
 # stay near 0.8 MB per worker thread; at a whole chunk they reach 1.6 MB,
 # which the allocator keeps resident in every thread's arena. The blocks of
-# a chunk read one Philox stream in order, so any block size gives the same
+# a run read one Philox stream in order, so any block size gives the same
 # draws.
 BLOCK = 1 << 15
 # Upper bound on the worker count: every worker is an operating-system thread.
@@ -230,22 +232,17 @@ def resolve_workers(workers: int | None) -> int:
 
 def _run_chunks(trials: int, workers: int | None,
                 count: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Sum of count(lo, hi) over the chunks [lo, hi) of trials [0, trials).
-    At most ``workers`` threads (None picks a number) each sum a contiguous
-    run of whole chunks; a single run is summed inline."""
+    """Sum of count(lo, hi) over runs [lo, hi) of whole chunks that cover
+    trials [0, trials). At most ``workers`` threads (None picks a number)
+    each count one run; a single run is counted inline."""
     n_chunks = -(-trials // CHUNK)
     workers = min(resolve_workers(workers), n_chunks)
-
-    def tally(lo: int, hi: int) -> np.ndarray:
-        return sum(count(start, min(start + CHUNK, hi))
-                   for start in range(lo, hi, CHUNK))
-
     if workers == 1:
-        return tally(0, trials)
+        return count(0, trials)
     bounds = [min(n_chunks * k // workers * CHUNK, trials)
               for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(tally, bounds[:-1], bounds[1:]))
+        return sum(pool.map(count, bounds[:-1], bounds[1:]))
 
 
 def trial_outcome_labels(protocol: Protocol, trials: int, seed: int

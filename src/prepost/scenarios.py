@@ -224,9 +224,8 @@ def _sample(report: ScenarioReport, key: str, protocol: Protocol, workers: int |
     stats = run_ensemble(protocol, report.trials, seed, workers=workers)
     report.monte_carlo[key] = stats
     if gate is not None:
-        report.agreements[gate] = agreement_check(
-            stats.final_frequencies(),
-            final_distribution(protocol, protocol.intermediate))
+        report.agreements[gate] = agreement_check(stats.final_frequencies(),
+                                                  final_distribution(protocol))
     return stats
 
 
@@ -350,10 +349,9 @@ def _scenario_quantum_raffle(report: ScenarioReport, workers) -> None:
     heads_proj[1, 1] = 1.0
     heads_pvm = ProjectiveMeasurement(
         [("heads", heads_proj), ("noheads", np.eye(3) - heads_proj)])
-    stage = UnitaryStage(_raffle_flip()) if held else None
-    proto = Protocol(ready, heads_pvm, intermediate=stage)
+    proto = Protocol(ready, heads_pvm, intermediate=UnitaryStage(_raffle_flip()) if held else None)
 
-    coin_distribution = final_distribution(proto, stage)
+    coin_distribution = final_distribution(proto)
     p_heads = coin_distribution.probability("heads")
     report.analytic["p_heads_per_coin"] = p_heads
     m_labels = [str(k) for k in range(n_coins + 1)]
@@ -456,8 +454,7 @@ def _scenario_epr_no_signaling(report: ScenarioReport, workers) -> None:
         ("alice_sigma_x", MeasureStage(embed_pvm(_sigma_x(), "left", 2))),
         ("alice_none", None))}
 
-    analytic_marginals = {name: final_distribution(proto, proto.intermediate)
-                          for name, proto in settings.items()}
+    analytic_marginals = {name: final_distribution(proto) for name, proto in settings.items()}
     report.analytic["bob_marginals"] = analytic_marginals
     names = list(settings)
     report.checks["analytic_marginals_identical"] = all(
@@ -499,8 +496,8 @@ def _scenario_epr_timelike_detection(report: ScenarioReport, workers) -> None:
     idle = Protocol(pre, post)
     probed = Protocol(pre, post, intermediate=MeasureStage(_sigma_x()))
 
-    report.analytic["idle_final_distribution"] = final_distribution(idle, None)
-    probed_dist = final_distribution(probed, probed.intermediate)
+    report.analytic["idle_final_distribution"] = final_distribution(idle)
+    probed_dist = final_distribution(probed)
     report.analytic["probed_final_distribution"] = probed_dist
     report.analytic["detection_probability"] = probed_dist.probability("z-")
 

@@ -2,11 +2,12 @@
 
 A valid `evaluate --config` document and valid `scenario --params` objects
 are mutated with wrong JSON types, NaN, infinities, huge integers, empty or
-ragged matrices and mismatched dimensions. Every run must exit 0 or 2: never
-1, and never with an exception escaping `main`, which a user would see as a
-traceback. An exit 2 prints exactly one stderr line and no report; an exit 0
-prints nothing to stderr. Warnings are recorded, since outside the tests
-Python prints them to stderr.
+ragged matrices and mismatched dimensions; flags and subcommands are
+misspelled or out of range. Every run must exit 0 or 2: never 1, and never
+with an exception escaping `main`, which a user would see as a traceback.
+An exit 2 prints exactly one stderr line and no report; an exit 0 prints
+nothing to stderr. Warnings are recorded, since outside the tests Python
+prints them to stderr.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import json
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +91,7 @@ def _assert_contract(code: int, out: str, err: str, caught: list) -> None:
 def test_mutated_config_exits_0_or_2_with_one_line(tmp_path_factory, mutations):
     doc = copy.deepcopy(CONFIG)
     for path, value in mutations:
+        value = copy.deepcopy(value)  # a later mutation may write into it; the strategy shares it
         if not path:
             doc = value
             continue
@@ -126,3 +129,28 @@ PARAM_VALUES = st.one_of(
 def test_mutated_params_exit_0_or_2_with_one_line(name, params):
     _assert_contract(*_run("scenario", name, "--params", json.dumps(params),
                            "--trials", "500"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("scenario", "three_box", "--params", "[1]"),
+    ("scenario", "three_box", "--params", "{"),
+    ("scenario", "three_box", "--trials", "0"),
+    ("scenario", "three_box", "--trials", "-5"),
+    ("scenario", "three_box", "--trials", "abc"),
+    ("verify", "--workers", "65"),
+    ("list", "--bogus"),
+    ("list", "--bogus\nline"),
+    ("bogus",),
+    (),
+])
+def test_usage_error_exits_2_with_one_line(argv):
+    code, out, err, caught = _run(*argv)
+    assert code == 2
+    _assert_contract(code, out, err, caught)
+
+
+@pytest.mark.parametrize("command", [(), ("scenario",), ("evaluate",), ("verify",), ("list",)])
+def test_help_prints_the_usage_block(command):
+    code, out, err, caught = _run(*command, "--help")
+    assert (code, err, caught) == (0, "", [])
+    assert out.startswith(f"usage: prepost {' '.join(command)}".rstrip() + " ")

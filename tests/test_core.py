@@ -33,15 +33,14 @@ from prepost.core import (
     UnitaryOp,
     UnitaryStage,
     ZeroProbabilityOutcome,
+    _branches,
     axis_pvm,
     born_distribution,
-    branch_distributions,
     collapse,
     embed_pvm,
     evolve,
     reduced_density,
     stage_branches,
-    tensor,
     total_variation,
 )
 
@@ -64,6 +63,12 @@ def sigma_x() -> ProjectiveMeasurement:
 
 def singlet() -> BipartiteState:
     return BipartiteState(("z+", "z-"), ("z+", "z-"), [0.0, S2, -S2, 0.0])
+
+
+def _product(left: PureState, right: PureState) -> BipartiteState:
+    """Product state, row-major in (left, right) subsystem order."""
+    return BipartiteState(left.basis_labels, right.basis_labels,
+                          np.kron(left.amplitudes, right.amplitudes))
 
 
 def box_pvm(box: str) -> ProjectiveMeasurement:
@@ -237,8 +242,8 @@ class TestCollapse:
 
 class TestBranchDistributions:
     def test_rows_follow_each_branch(self):
-        p, rows = branch_distributions(z_plus(), sigma_x(), UnitaryOp.identity(2),
-                                       sigma_z())
+        p, rows = _branches(z_plus().amplitudes, sigma_x(), UnitaryOp.identity(2),
+                            sigma_z())
         assert np.allclose(p, [0.5, 0.5], atol=EPS_NORM)
         assert np.allclose(rows, [[0.5, 0.5], [0.5, 0.5]], atol=EPS_NORM)
 
@@ -246,16 +251,16 @@ class TestBranchDistributions:
         # Collapsing onto z- would raise; the routine must not attempt it.
         with pytest.raises(ZeroProbabilityOutcome):
             collapse(z_plus(), sigma_z(), "z-")
-        p, rows = branch_distributions(z_plus(), sigma_z(), UnitaryOp.identity(2),
-                                       sigma_x())
+        p, rows = _branches(z_plus().amplitudes, sigma_z(), UnitaryOp.identity(2),
+                            sigma_x())
         assert p[1] == 0.0
         assert np.array_equal(rows[1], [0.0, 0.0])
         assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
 
     def test_outcome_below_eps_prob_gets_a_zero_row(self):
         state = PureState(("z+", "z-"), [math.sqrt(1.0 - 1e-13), math.sqrt(1e-13)])
-        p, rows = branch_distributions(state, sigma_z(), UnitaryOp.identity(2),
-                                       sigma_x())
+        p, rows = _branches(state.amplitudes, sigma_z(), UnitaryOp.identity(2),
+                            sigma_x())
         assert 0.0 < p[1] <= EPS_PROB
         assert np.array_equal(rows[1], [0.0, 0.0])
         assert np.allclose(rows[0], [0.5, 0.5], atol=EPS_NORM)
@@ -352,7 +357,7 @@ def _loop_evolve(v: np.ndarray, u: UnitaryOp) -> np.ndarray:
 
 
 def _loop_branches(state, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
-    """branch_distributions as the per-branch chain: Born weights, then
+    """_branches as the per-branch chain: Born weights, then
     collapse, evolve and Born for each live branch."""
     p = np.array([q for _, q in _loop_born(state.amplitudes, pvm)])
     rows = np.zeros((len(p), len(post.labels)))
@@ -428,7 +433,7 @@ class TestStackedKernels:
         for seed in self.SEEDS:
             state, pvm, u, post, kind = _kernel_instance(seed)
             want = _result(_loop_branches, state, pvm, u, post)
-            got = _result(branch_distributions, state, pvm, u, post)
+            got = _result(_branches, state.amplitudes, pvm, u, post)
             if isinstance(want[0], type):  # an error is raised as the loop raises it
                 assert got == want, seed
                 continue
@@ -466,7 +471,7 @@ class TestStackedKernels:
                          (sigma_x(), UnitaryOp.identity(2), pvm),
                          (sigma_x(), UnitaryOp.identity(3), sigma_z()),
                          (sigma_x(), UnitaryOp.identity(2), box_pvm("A"))):
-                got = _result(branch_distributions, state, *args)
+                got = _result(_branches, state.amplitudes, *args)
                 want = _result(_loop_branches, state, *args)
                 if isinstance(want[0], type):
                     assert got == want
@@ -503,13 +508,13 @@ class TestEvolve:
 class TestTensorAndBipartite:
     def test_product_basis_placement(self):
         z_minus = PureState(("z+", "z-"), [0.0, 1.0])
-        bi = tensor(z_plus(), z_minus)
+        bi = _product(z_plus(), z_minus)
         assert bi.dims == (2, 2)
         assert np.allclose(bi.amplitudes, [0.0, 1.0, 0.0, 0.0])
 
     def test_plus_plus_is_uniform(self):
         plus = PureState(("z+", "z-"), [S2, S2])
-        bi = tensor(plus, plus)
+        bi = _product(plus, plus)
         assert np.allclose(bi.amplitudes, [0.5, 0.5, 0.5, 0.5])
 
     def test_to_pure_state_labels(self):
@@ -529,7 +534,7 @@ class TestReducedDensity:
 
     def test_product_state_reduces_to_projector(self):
         z_minus = PureState(("z+", "z-"), [0.0, 1.0])
-        rho = reduced_density(tensor(z_plus(), z_minus), "left")
+        rho = reduced_density(_product(z_plus(), z_minus), "left")
         assert np.allclose(rho.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=EPS_NORM)
 
     def test_density_matrix_invariants_enforced(self):
@@ -706,7 +711,7 @@ def test_tensor_norm_and_reduction(dl, dr, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     left = PureState(tuple(f"l{k}" for k in range(dl)), random_unit_vector(rng, dl))
     right = PureState(tuple(f"r{k}" for k in range(dr)), random_unit_vector(rng, dr))
-    bi = tensor(left, right)
+    bi = _product(left, right)
     assert abs(np.linalg.norm(bi.amplitudes) - 1.0) <= EPS_NORM
     rho = reduced_density(bi, "right")
     assert abs(np.real(np.trace(rho.matrix)) - 1.0) <= EPS_NORM

@@ -8,12 +8,14 @@ same exception type and message.
 """
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import random_pvm_projectors, random_unit_vector, random_unitary
+from helpers import rank1_projectors, random_pvm_projectors, random_unit_vector, random_unitary
+import prepost.core
 from prepost.core import (
     EPS_NORM,
     NORM_REPAIR,
@@ -382,6 +384,41 @@ class TestProjectorStack:
         assert got == _outcome(_reference_unitary, matrix)
         got = _outcome(lambda m: DensityMatrix(m).matrix, matrix)
         assert got == _outcome(_reference_density, matrix)
+
+    def test_runs_of_one_outcome_name_the_same_fault(self, monkeypatch):
+        # Every outcome's products form their own run, as a large dim forces.
+        monkeypatch.setattr(prepost.core, "PRODUCT_ENTRIES", 1)
+        rng = np.random.default_rng(11)
+        for k in range(120):
+            dim = 2 + k % 4
+            outcomes = _valid_outcomes(rng, dim)
+            bad = sorted(BAD_PROJECTORS)[k % len(BAD_PROJECTORS)]
+            i = int(rng.integers(len(outcomes)))
+            if k % 3:
+                outcomes[i] = (outcomes[i][0], BAD_PROJECTORS[bad](outcomes[i][1]))
+            assert _outcome(_pvm_stack, outcomes) == _outcome(_reference_pvm_stack, outcomes), k
+
+    def test_validation_memory_is_in_proportion_to_the_stack(self):
+        # A rank-1 measurement at dim 64 is a 4 MB stack; all its products
+        # P_i P_j at once would take 268 MB.
+        u = random_unitary(np.random.default_rng(12), 64)
+        outcomes = [(f"o{k}", p) for k, p in enumerate(rank1_projectors(u))]
+        tracemalloc.start()
+        try:
+            ProjectiveMeasurement(outcomes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
+    def test_an_overlapping_pair_at_dim_64_is_named(self):
+        outcomes = [(f"o{k}", p) for k, p in enumerate(rank1_projectors(np.eye(64)))]
+        v = np.zeros(64)
+        v[[5, 63]] = np.sqrt(0.5)
+        outcomes[63] = ("o63", np.outer(v, v))
+        with pytest.raises(ValueError) as caught:
+            ProjectiveMeasurement(outcomes)
+        assert str(caught.value) == "projectors 'o5' and 'o63' overlap"
 
     def test_random_unitaries_as_before(self):
         rng = np.random.default_rng(9)
