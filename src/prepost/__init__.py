@@ -12,7 +12,6 @@ from .abl import (
     SelectionContext,
     abl_distribution,
     post_outcome_distribution,
-    sequence_probability,
 )
 from .core import (
     EPS_COTEN,
@@ -45,7 +44,6 @@ from .counterfactual import (
     Flavor,
     Verdict,
     cotenability_report,
-    counterfactual_distribution,
     evaluate,
 )
 from .ensemble import (
@@ -109,7 +107,6 @@ __all__ = [
     "collapse",
     "conditional_frequencies",
     "cotenability_report",
-    "counterfactual_distribution",
     "embed_pvm",
     "evaluate",
     "evolve",
@@ -118,7 +115,6 @@ __all__ = [
     "run_ensemble",
     "run_scenario",
     "run_verification",
-    "sequence_probability",
     "total_variation",
     "trial_outcome_labels",
 ]

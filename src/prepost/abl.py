@@ -60,25 +60,20 @@ class SelectionContext(Protocol):
                          selection=post_label)
 
 
-def selected_column(protocol: Protocol, table: tuple) -> np.ndarray:
-    """Each branch's weight of reaching the protocol's selected outcome in
-    ``table``, a core.stage_branches result: p * rows[:, selection]."""
+def _conditioned(protocol: Protocol, table: tuple) -> Distribution:
+    """The branches of ``table``, a core.stage_branches result, conditioned on
+    the protocol's selected outcome: ABL's rule on p * rows[:, selection]."""
     if protocol.selection is None:
         raise ValueError("the protocol must fix a selected outcome")
-    _, p, rows = table
-    return p * rows[:, protocol.post_pvm.index(protocol.selection)]
-
-
-def _conditioned(protocol: Protocol, table: tuple) -> Distribution:
-    """The branches of ``table`` conditioned on the selected outcome: ABL's rule."""
-    weights = selected_column(protocol, table).tolist()
+    labels, p, rows = table
+    weights = (p * rows[:, protocol.post_pvm.index(protocol.selection)]).tolist()
     denominator = sum(weights)
     if denominator <= EPS_PROB:
         raise ImpossiblePostSelection(
             f"outcome {protocol.selection!r} is unreachable through any outcome "
             f"of the query (total weight {denominator!r})")
     return Distribution(
-        [(label, w / denominator) for label, w in zip(table[0], weights)])
+        [(label, w / denominator) for label, w in zip(labels, weights)])
 
 
 def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
@@ -89,25 +84,6 @@ def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
     that with Q measured in between, outcome b can never occur.
     """
     return _conditioned(ctx, stage_branches(ctx, MeasureStage(q)))
-
-
-def sequence_probability(
-    ctx: Protocol,
-    intermediate: tuple[ProjectiveMeasurement, str] | None,
-) -> float:
-    """Joint probability of the stated intermediate event and the selected
-    final outcome, in place of ctx's own intermediate stage.
-
-    With no intermediate event this is the direct transition probability
-    |<b| V U |a>|^2; with (pvm, label) it is the weight of the single path
-    passing through that outcome.
-    """
-    if intermediate is None:
-        stage, j = None, 0
-    else:
-        pvm, label = intermediate
-        stage, j = MeasureStage(pvm), pvm.index(label)
-    return selected_column(ctx, stage_branches(ctx, stage)).tolist()[j]
 
 
 def final_distribution(protocol: Protocol) -> Distribution:

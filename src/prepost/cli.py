@@ -35,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 # Upper bound on --trials; larger values are input errors (exit 2), like
 # --workers above ensemble.MAX_WORKERS. Sampling time grows with the trials.
 MAX_TRIALS = 10**9
+# Upper bound on --seed: the sampler keys Philox streams by it, 128 bits wide.
+MAX_SEED = 2**128 - 1
 
 
 def _positive_int(text: str, limit: int | None = None) -> int:
@@ -54,10 +56,10 @@ def _worker_count(text: str) -> int:
     return _positive_int(text, MAX_WORKERS)
 
 
-def _nonnegative_int(text: str) -> int:
+def _seed(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
+    if not 0 <= value <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_SEED}")
     return value
 
 
@@ -88,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--trials", type=_trial_count, default=100_000,
                          help=f"Monte Carlo trials (default 100000, at most "
                               f"{MAX_TRIALS})")
-    runtime.add_argument("--seed", type=_nonnegative_int, default=0,
-                         help="random seed (default 0; runs are reproducible)")
+    runtime.add_argument("--seed", type=_seed, default=0,
+                         help="random seed (default 0, below 2**128; runs are reproducible)")
     runtime.add_argument("--workers", type=_worker_count, default=None,
                          help=f"worker threads, at most {MAX_WORKERS}; verify "
                               "also runs its suites on up to min(WORKERS, 5) "

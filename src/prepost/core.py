@@ -614,14 +614,10 @@ def _born_rows(x: np.ndarray, pvm: ProjectiveMeasurement) -> np.ndarray:
     return np.where(v > 0.0, v, 0.0)
 
 
-def _projected(a: np.ndarray, pvm: ProjectiveMeasurement, which) -> np.ndarray:
-    """Rows P_j a / sqrt(<P_j a|P_j a>) for the outcome indices j in ``which``."""
+def _projected(a: np.ndarray, pvm, which) -> tuple[np.ndarray, np.ndarray]:
+    """Rows P_j a for the outcome indices j in ``which``, and each <P_j a|P_j a>."""
     x = pvm.stack[which] @ a
-    weights = (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
-    for j in np.flatnonzero(weights <= EPS_PROB)[:1]:
-        raise ZeroProbabilityOutcome(
-            f"outcome {pvm.labels[which[j]]!r} has probability {float(weights[j])!r}")
-    return x / np.sqrt(weights)[:, None]
+    return x, (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
 
 
 def born_distribution(state: PureState, pvm: ProjectiveMeasurement) -> Distribution:
@@ -639,7 +635,11 @@ def collapse(state: PureState, pvm: ProjectiveMeasurement,
     """
     which = [pvm.index(outcome_label)]
     _require_same_dim(state.dim, pvm.dim, "state vs measurement")
-    return PureState(state.basis_labels, _projected(state.amplitudes, pvm, which)[0])
+    x, weights = _projected(state.amplitudes, pvm, which)
+    if weights[0] <= EPS_PROB:
+        raise ZeroProbabilityOutcome(
+            f"outcome {outcome_label!r} has probability {float(weights[0])!r}")
+    return PureState(state.basis_labels, (x / np.sqrt(weights)[:, None])[0])
 
 
 def evolve(state: PureState, u: UnitaryOp) -> PureState:
@@ -654,10 +654,12 @@ def _evolved(x: np.ndarray, u: UnitaryOp) -> np.ndarray:
 
 
 def _branches(a: np.ndarray, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
-    """(p, rows) of stage_branches for the state a measured by ``pvm``."""
+    """(p, rows) of stage_branches for the state a measured by ``pvm``; a branch
+    is live by p alone, as ||P_j a||^2 rounds differently near EPS_PROB."""
     p = _checked_rows(_born_rows(a[None], pvm))[0]
     live = (p > EPS_PROB).nonzero()[0]
-    x = _evolved(_renormalised(_projected(a, pvm, live), "state vector"), u)
+    x, weights = _projected(a, pvm, live)
+    x = _evolved(_renormalised(x / np.sqrt(weights)[:, None], "state vector"), u)
     rows = np.zeros((len(p), len(post.stack)))
     rows[live] = _checked_rows(_born_rows(x, post))
     return p, rows

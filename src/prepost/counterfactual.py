@@ -124,24 +124,6 @@ class Verdict:
         }
 
 
-def counterfactual_distribution(stmt: CounterfactualStatement) -> Distribution:
-    """Query-outcome distribution in the hypothetical world the flavor picks.
-
-    Single antecedent: Born weights of the query from the evolved
-    preparation, nothing filtered. Compound antecedent: the joint world is
-    conditioned on reaching the actual post-selected outcome; raises
-    ImpossiblePostSelection when that outcome is unreachable.
-    """
-    return _world(stmt, stage_branches(stmt.base_protocol, MeasureStage(stmt.query)))
-
-
-def _world(stmt: CounterfactualStatement, asked: tuple) -> Distribution:
-    """The flavor's world read off ``asked``, the table with the query inserted."""
-    if stmt.flavor is Flavor.SINGLE:
-        return Distribution(list(zip(asked[0], asked[1])))
-    return _conditioned(stmt.base_protocol, asked)
-
-
 def cotenability_report(base_protocol: Protocol,
                         query: ProjectiveMeasurement | Stage) -> CotenabilityReport:
     """Compare final-outcome distributions with and without the query inserted.
@@ -174,9 +156,10 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
     """Judge the statement: compare the claim with its hypothetical world.
 
     The claimed distribution is the conditional (ABL) distribution of query
-    outcomes given both selections; the world distribution is
-    counterfactual_distribution's. Both and the disturbed side of the
-    cotenability report come from one table, the query's. Classification:
+    outcomes given both selections. The world is the query's Born weights
+    from the evolved preparation (single) or the claim itself (compound).
+    Both and the disturbed side of the cotenability report come from one
+    table, the query's. Classification:
 
     - single antecedent: FALSE when the world deviates from the claim,
       TRUE_BY_COINCIDENCE when it happens to match (commuting cases).
@@ -186,7 +169,9 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
     """
     p, inserted = stmt.base_protocol, MeasureStage(stmt.query)
     asked = stage_branches(p, inserted)
-    claimed, world = _conditioned(p, asked), _world(stmt, asked)
+    claimed = _conditioned(p, asked)
+    world = (Distribution(list(zip(asked[0], asked[1])))
+             if stmt.flavor is Flavor.SINGLE else claimed)
     deviation = total_variation(claimed, world)
     cotenable = _cotenability(p, inserted, asked).cotenable
     if stmt.flavor is Flavor.SINGLE:

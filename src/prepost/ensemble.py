@@ -43,6 +43,8 @@ CHUNK = 1 << 16
 BLOCK = 1 << 15
 # Upper bound on the worker count: every worker is an operating-system thread.
 MAX_WORKERS = 64
+# Standard errors a frequency may stray from its probability in every gate.
+GATE_Z = 5.0
 
 
 class EmptySelection(ValueError):
@@ -338,9 +340,9 @@ def conditional_frequencies(stats: EnsembleStats, condition: str) -> EmpiricalDi
     return EmpiricalDistribution(dist, matched)
 
 
-def agreement_check(empirical: EmpiricalDistribution, analytic: Distribution,
-                    z: float = 5.0) -> AgreementReport:
-    """Gate each frequency against z standard binomial errors of its probability."""
+def agreement_check(empirical: EmpiricalDistribution,
+                    analytic: Distribution) -> AgreementReport:
+    """Gate each frequency against GATE_Z standard binomial errors of its probability."""
     emp = empirical.distribution
     if set(emp.labels) != set(analytic.labels):
         raise ValueError(
@@ -351,8 +353,8 @@ def agreement_check(empirical: EmpiricalDistribution, analytic: Distribution,
     entries = []
     for label, p in analytic:
         freq = emp.probability(label)
-        tolerance = z * float(np.sqrt(p * (1.0 - p) / n)) + EPS_AGREE
+        tolerance = GATE_Z * float(np.sqrt(p * (1.0 - p) / n)) + EPS_AGREE
         entries.append(AgreementEntry(
             label=label, frequency=freq, probability=p,
             tolerance=tolerance, passed=abs(freq - p) <= tolerance))
-    return AgreementReport(tuple(entries), z, n, all(e.passed for e in entries))
+    return AgreementReport(tuple(entries), GATE_Z, n, all(e.passed for e in entries))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .abl import abl_distribution, final_distribution, sequence_probability
+from .abl import abl_distribution, final_distribution
 from .core import (
     EPS_NORM,
     BipartiteState,
@@ -43,6 +43,7 @@ from .counterfactual import (
     evaluate,
 )
 from .ensemble import (
+    GATE_Z,
     AgreementReport,
     EmpiricalDistribution,
     EmptySelection,
@@ -398,10 +399,14 @@ def _scenario_crossed_polarizers(report: ScenarioReport, workers) -> None:
     final = axis_pvm(math.pi / 2)
     middle = axis_pvm(theta)
     base = Protocol(photon, final, selection="pass")
+    filter_stage = FilterStage(middle, "pass", "block")
+    inserted = Protocol(photon, final, intermediate=filter_stage,
+                        selection="pass")
 
-    report.analytic["direct_pass_probability"] = sequence_probability(base, None)
-    report.analytic["inserted_pass_probability"] = sequence_probability(
-        base, (middle, "pass"))
+    report.analytic["direct_pass_probability"] = (
+        final_distribution(base).probability("pass"))
+    report.analytic["inserted_pass_probability"] = (
+        final_distribution(inserted).probability("pass"))
     report.analytic["abl_query"] = abl_distribution(base, middle)
     report.analytic["single_world_query"] = born_distribution(photon, middle)
 
@@ -409,9 +414,6 @@ def _scenario_crossed_polarizers(report: ScenarioReport, workers) -> None:
     report.checks["no_pass_without_intermediate"] = (
         direct_stats.counts[(None, "pass")] == 0)
 
-    filter_stage = FilterStage(middle, "pass", "block")
-    inserted = Protocol(photon, final, intermediate=filter_stage,
-                        selection="pass")
     _sample(report, "inserted_ensemble", inserted, workers, stream=1,
             gate="inserted_final_vs_analytic")
 
@@ -466,8 +468,8 @@ def _scenario_epr_no_signaling(report: ScenarioReport, workers) -> None:
                  for idx, (name, proto) in enumerate(settings.items())}
 
     # Two independent frequencies of a p ~ 1/2 outcome differ by at most
-    # z * sqrt(2 p (1-p) / n) up to the usual analytic slack.
-    tvd_gate = 5.0 * math.sqrt(2.0 * 0.25 / report.trials) + EPS_NORM
+    # GATE_Z * sqrt(2 p (1-p) / n) up to the usual analytic slack.
+    tvd_gate = GATE_Z * math.sqrt(2.0 * 0.25 / report.trials) + EPS_NORM
     max_tvd = max(
         total_variation(empirical[x].distribution, empirical[y].distribution)
         for i, x in enumerate(names) for y in names[i + 1:])

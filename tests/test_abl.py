@@ -18,7 +18,6 @@ from prepost.abl import (
     SelectionContext,
     abl_distribution,
     post_outcome_distribution,
-    sequence_probability,
 )
 from prepost.core import (
     EPS_NORM,
@@ -31,6 +30,7 @@ from prepost.core import (
     UnitaryStage,
     axis_pvm,
     born_distribution,
+    stage_branches,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -121,21 +121,29 @@ class TestAblDistribution:
             SelectionContext(z_plus(), sigma_x(), "sideways")
 
 
+def path_weights(ctx: Protocol, stage) -> list[float]:
+    """Each branch's joint weight with the selected final outcome, read off
+    stage_branches: p[j] * rows[j, k] (Aharonov, Bergmann & Lebowitz)."""
+    _, p, rows = stage_branches(ctx, stage)
+    return (p * rows[:, ctx.post_pvm.index(ctx.selection)]).tolist()
+
+
 class TestSequenceProbability:
     def test_crossed_polarizers_block_everything(self):
         ctx = SelectionContext(PureState(("x", "y"), [1.0, 0.0]),
                                axis_pvm(math.pi / 2), "pass")
-        assert sequence_probability(ctx, None) == pytest.approx(0.0, abs=1e-12)
+        assert path_weights(ctx, None)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_oblique_intermediate_outcome_opens_a_path(self):
         ctx = SelectionContext(PureState(("x", "y"), [1.0, 0.0]),
                                axis_pvm(math.pi / 2), "pass")
-        p = sequence_probability(ctx, (axis_pvm(math.pi / 4), "pass"))
+        oblique = axis_pvm(math.pi / 4)
+        p = path_weights(ctx, MeasureStage(oblique))[oblique.index("pass")]
         assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_eigenstate_passes_with_certainty(self):
         ctx = SelectionContext(z_plus(), sigma_z(), "z+")
-        assert sequence_probability(ctx, None) == pytest.approx(1.0, abs=1e-10)
+        assert path_weights(ctx, None)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_joint_weights_marginalize_to_direct_probability(self):
         # Summing the joint path weights over a complete intermediate PVM
@@ -149,7 +157,7 @@ class TestSequenceProbability:
         total = 0.0
         for post_label in post.labels:
             ctx = SelectionContext(a, post, post_label)
-            total += sum(sequence_probability(ctx, (q, ql)) for ql in q.labels)
+            total += sum(path_weights(ctx, MeasureStage(q)))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -170,18 +178,13 @@ class TestProtocolTimeline:
         for box in "AB":
             q = box_query(box)
             assert abl_distribution(protocol, q).entries == abl_distribution(ctx, q).entries
-            for label in q.labels:
-                assert (sequence_probability(protocol, (q, label))
-                        == sequence_probability(ctx, (q, label)))
-        assert sequence_probability(protocol, None) == sequence_probability(ctx, None)
+            assert (path_weights(protocol, MeasureStage(q))
+                    == path_weights(ctx, MeasureStage(q)))
+        assert path_weights(protocol, None) == path_weights(ctx, None)
 
     def test_abl_needs_a_selected_outcome(self):
         with pytest.raises(ValueError, match="the protocol must fix a selected outcome"):
             abl_distribution(Protocol(z_plus(), sigma_x()), sigma_z())
-
-    def test_sequence_probability_needs_a_selected_outcome(self):
-        with pytest.raises(ValueError, match="the protocol must fix a selected outcome"):
-            sequence_probability(Protocol(z_plus(), sigma_x()), (sigma_z(), "z+"))
 
 
 class TestPostOutcomeDistribution:

@@ -17,7 +17,7 @@ from prepost.abl import (
     ImpossiblePostSelection,
     SelectionContext,
     abl_distribution,
-    sequence_probability,
+    final_distribution,
 )
 from prepost.core import (
     BipartiteState,
@@ -148,7 +148,7 @@ def test_criterion_5_crossed_polarizers():
     final = axis_pvm(math.pi / 2)
     middle = axis_pvm(math.pi / 4)
     ctx = SelectionContext(photon, final, "pass")
-    assert abs(sequence_probability(ctx, None)) <= 1e-12
+    assert abs(final_distribution(ctx).probability("pass")) <= 1e-12
 
     base = Protocol(photon, final, selection="pass")
     direct = run_ensemble(base, N, 9)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from prepost.cli import MAX_TRIALS, MAX_WORKERS, build_parser, main
+from prepost.cli import MAX_SEED, MAX_TRIALS, MAX_WORKERS, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -431,6 +431,16 @@ class TestOutputAndUsage:
             ["scenario", "three_box", "--trials", str(MAX_TRIALS),
              "--workers", str(MAX_WORKERS)])
         assert (ns.trials, ns.workers) == (MAX_TRIALS, MAX_WORKERS)
+
+    # The sampler keys Philox streams by the seed; the widest key is accepted.
+    @pytest.mark.parametrize("command", [
+        ["scenario", "three_box", "--trials", "500"],
+        ["verify", "--instances", "2", "--compound-instances", "2", "--trials", "500"]])
+    def test_largest_seed_runs(self, capsys, command):
+        assert MAX_SEED == 2**128 - 1
+        code, out, err = run_cli(capsys, *command, "--seed", str(MAX_SEED))
+        assert (code, err) == (0, "")
+        assert str(MAX_SEED) in out
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -138,6 +138,8 @@ def test_mutated_params_exit_0_or_2_with_one_line(name, params):
     ("scenario", "three_box", "--trials", "-5"),
     ("scenario", "three_box", "--trials", "abc"),
     ("verify", "--workers", "65"),
+    ("scenario", "three_box", "--seed", str(2**128)),
+    ("verify", "--seed", str(2**128)),
     ("list", "--bogus"),
     ("list", "--bogus\nline"),
     ("bogus",),

@@ -341,11 +341,16 @@ def _loop_born(v: np.ndarray, pvm: ProjectiveMeasurement) -> tuple:
     return tuple(zip(pvm.labels, (float(p) for p in np.clip(probs, 0.0, 1.0))))
 
 
+def _loop_projected(v: np.ndarray, pvm: ProjectiveMeasurement, label: str) -> tuple:
+    """P v and its squared norm <P v|P v>."""
+    projected = pvm.projector(label) @ v
+    return projected, float(np.real(np.vdot(projected, projected)))
+
+
 def _loop_collapse(v: np.ndarray, pvm: ProjectiveMeasurement, label: str) -> np.ndarray:
     """collapse's amplitudes, projected, scaled and renormalised one by one."""
     _loop_dim(len(v), pvm.dim, "state vs measurement")
-    projected = pvm.projector(label) @ v
-    weight = float(np.real(np.vdot(projected, projected)))
+    projected, weight = _loop_projected(v, pvm, label)
     if weight <= EPS_PROB:
         raise ZeroProbabilityOutcome(f"outcome {label!r} has probability {weight!r}")
     return _loop_unit(projected / np.sqrt(weight))
@@ -357,13 +362,15 @@ def _loop_evolve(v: np.ndarray, u: UnitaryOp) -> np.ndarray:
 
 
 def _loop_branches(state, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
-    """_branches as the per-branch chain: Born weights, then
-    collapse, evolve and Born for each live branch."""
+    """_branches as the per-branch chain: Born weights, then project,
+    scale, evolve and Born for each branch live by its Born weight. Liveness
+    is decided by p alone, so collapse's own check of ||P v||^2 is not run."""
     p = np.array([q for _, q in _loop_born(state.amplitudes, pvm)])
     rows = np.zeros((len(p), len(post.labels)))
     for j, label in enumerate(pvm.labels):
         if p[j] > EPS_PROB:
-            branch = _loop_evolve(_loop_collapse(state.amplitudes, pvm, label), u)
+            projected, weight = _loop_projected(state.amplitudes, pvm, label)
+            branch = _loop_evolve(_loop_unit(projected / np.sqrt(weight)), u)
             rows[j] = [q for _, q in _loop_born(branch, post)]
     return p, rows
 

@@ -24,7 +24,6 @@ from prepost.counterfactual import (
     Flavor,
     Verdict,
     cotenability_report,
-    counterfactual_distribution,
     evaluate,
 )
 from prepost.ensemble import Protocol
@@ -90,23 +89,23 @@ class TestStatementValidation:
 
 class TestCounterfactualDistribution:
     def test_single_world_ignores_the_post_selection(self):
-        world = counterfactual_distribution(aad_statement(Flavor.SINGLE))
+        world = evaluate(aad_statement(Flavor.SINGLE)).counterfactual_world
         assert_dist(world, {"x+": 0.5, "x-": 0.5})
 
     def test_compound_world_filters_on_the_post_outcome(self):
-        world = counterfactual_distribution(aad_statement(Flavor.COMPOUND))
+        world = evaluate(aad_statement(Flavor.COMPOUND)).counterfactual_world
         assert_dist(world, {"x+": 1.0, "x-": 0.0})
 
     def test_single_world_with_query_matching_preparation(self):
-        world = counterfactual_distribution(
-            aad_statement(Flavor.SINGLE, query=sigma_z()))
+        world = evaluate(
+            aad_statement(Flavor.SINGLE, query=sigma_z())).counterfactual_world
         assert_dist(world, {"z+": 1.0, "z-": 0.0})
 
     def test_compound_world_unreachable_selection_raises(self):
         proto = Protocol(z_plus(), sigma_z(), selection="z-")
         stmt = CounterfactualStatement(proto, sigma_z(), Flavor.COMPOUND)
         with pytest.raises(ImpossiblePostSelection):
-            counterfactual_distribution(stmt)
+            evaluate(stmt)
 
     def test_single_world_replaces_an_actual_measurement(self):
         # When the actual run measured something else at t, the hypothetical
@@ -114,7 +113,7 @@ class TestCounterfactualDistribution:
         proto = Protocol(z_plus(), sigma_x(),
                          intermediate=MeasureStage(sigma_z()), selection="x+")
         stmt = CounterfactualStatement(proto, sigma_x(), Flavor.SINGLE)
-        assert_dist(counterfactual_distribution(stmt), {"x+": 0.5, "x-": 0.5})
+        assert_dist(evaluate(stmt).counterfactual_world, {"x+": 0.5, "x-": 0.5})
 
 
 class TestCotenability:

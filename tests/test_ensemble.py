@@ -16,7 +16,7 @@ from helpers import (
     random_unit_vector,
     random_unitary,
 )
-from prepost.abl import SelectionContext, post_outcome_distribution, sequence_probability
+from prepost.abl import final_distribution, post_outcome_distribution
 from prepost.core import (
     EPS_PROB,
     Distribution,
@@ -156,7 +156,7 @@ class TestRunEnsemble:
         stats = run_ensemble(proto, 100000, seed=23)
         analytic = post_outcome_distribution(z_plus(), sigma_x(),
                                              intermediate=axis_pvm(0.7))
-        report = agreement_check(stats.final_frequencies(), analytic, z=5.0)
+        report = agreement_check(stats.final_frequencies(), analytic)
         assert report.passed
 
     def test_selection_fraction_matches_summed_path_weights(self):
@@ -164,9 +164,7 @@ class TestRunEnsemble:
                          intermediate=MeasureStage(axis_pvm(0.7)),
                          selection="x+")
         stats = run_ensemble(proto, 100000, seed=29)
-        ctx = SelectionContext(z_plus(), sigma_x(), "x+")
-        q = axis_pvm(0.7)
-        expected = sum(sequence_probability(ctx, (q, l)) for l in q.labels)
+        expected = final_distribution(proto).probability("x+")
         selected = sum(c for (_, f), c in stats.counts.items() if f == "x+")
         gate = 5.0 * math.sqrt(expected * (1 - expected) / 100000)
         assert abs(selected / 100000 - expected) <= gate
@@ -333,20 +331,20 @@ class TestAgreementCheck:
     def test_close_frequency_passes(self):
         emp = EmpiricalDistribution(
             Distribution([("a", 0.503), ("b", 0.497)]), 10000)
-        report = agreement_check(emp, Distribution([("a", 0.5), ("b", 0.5)]), z=5.0)
+        report = agreement_check(emp, Distribution([("a", 0.5), ("b", 0.5)]))
         assert report.passed
         # gate = 5 * sqrt(0.25 / 10^4) = 0.025
         assert report.entries[0].tolerance == pytest.approx(0.025, abs=1e-6)
 
     def test_certain_outcome_passes_at_zero_variance(self):
         emp = EmpiricalDistribution(Distribution([("a", 1.0), ("b", 0.0)]), 50)
-        report = agreement_check(emp, Distribution([("a", 1.0), ("b", 0.0)]), z=5.0)
+        report = agreement_check(emp, Distribution([("a", 1.0), ("b", 0.0)]))
         assert report.passed
 
     def test_distant_frequency_fails(self):
         emp = EmpiricalDistribution(
             Distribution([("a", 0.40), ("b", 0.60)]), 10000)
-        report = agreement_check(emp, Distribution([("a", 0.5), ("b", 0.5)]), z=5.0)
+        report = agreement_check(emp, Distribution([("a", 0.5), ("b", 0.5)]))
         assert not report.passed
         failed = [e.label for e in report.entries if not e.passed]
         assert "a" in failed
@@ -354,7 +352,7 @@ class TestAgreementCheck:
     def test_label_mismatch_rejected(self):
         emp = EmpiricalDistribution(Distribution([("a", 1.0)]), 10)
         with pytest.raises(ValueError):
-            agreement_check(emp, Distribution([("z", 1.0)]), z=5.0)
+            agreement_check(emp, Distribution([("z", 1.0)]))
 
 
 class TestSerialization:

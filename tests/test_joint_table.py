@@ -3,6 +3,7 @@ actual run. The claim and both readings' worlds are marginals of the first.
 """
 from __future__ import annotations
 
+import json
 import sys
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 from helpers import random_pvm_projectors, random_unit_vector, random_unitary
 from prepost import core
-from prepost.abl import abl_distribution
+from prepost.abl import abl_distribution, final_distribution
+from prepost.cli import main
 from prepost.core import (
+    EPS_PROB,
     Distribution,
     MeasureStage,
     ProjectiveMeasurement,
@@ -20,6 +23,7 @@ from prepost.core import (
     UnitaryOp,
     born_distribution,
     evolve,
+    stage_branches,
 )
 from prepost.counterfactual import (
     CounterfactualStatement,
@@ -27,6 +31,7 @@ from prepost.counterfactual import (
     cotenability_report,
     evaluate,
 )
+from prepost.ensemble import run_ensemble
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -99,3 +104,46 @@ def test_readings_are_marginals_of_one_table(seed):
         assert same_bits(verdict.counterfactual_world, verdict.claimed)
         assert verdict.max_deviation == 0.0
     assert verdict.cotenable == cotenability_report(p, query).cotenable
+
+
+def boundary_statement() -> CounterfactualStatement:
+    """A dim-2 statement whose query branch v has Born weight p = <a|P|a>
+    just above EPS_PROB while ||P a||^2, which rounds differently, is at or
+    below it: a = sqrt(1 - s^2) w + s v for orthonormal v, w with s^2 within
+    3e-5 (relative) of EPS_PROB, a query {v v^+, 1 - v v^+} and a final
+    sigma-z measurement selecting b0. The first seeded draw that lands on
+    the boundary is taken."""
+    rng = np.random.default_rng(2)
+    final = ProjectiveMeasurement.from_eigenvectors(("b0", "b1"), np.eye(2))
+    for _ in range(100):
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        v, w = np.linalg.qr(z)[0].T
+        s2 = EPS_PROB * (1.0 + rng.uniform(-3e-5, 3e-5))
+        a = PureState(("b0", "b1"), np.sqrt(1.0 - s2) * w + np.sqrt(s2) * v)
+        query = ProjectiveMeasurement.binary_from_state(
+            PureState(("b0", "b1"), v), "v", "not_v")
+        x = query.projector("v") @ a.amplitudes
+        if born_distribution(a, query).probability("v") > EPS_PROB >= (x.conj() @ x).real:
+            return CounterfactualStatement(Protocol(a, final, selection="b0"),
+                                           query, Flavor.COMPOUND)
+    raise AssertionError("no seeded draw lands on the boundary")
+
+
+def test_a_branch_is_live_by_its_born_weight_alone(tmp_path, capsys):
+    stmt = boundary_statement()
+    protocol, query = stmt.base_protocol, stmt.query
+    _, p, rows = stage_branches(protocol, MeasureStage(query))
+    assert p[0] > EPS_PROB and rows[0].sum() == pytest.approx(1.0)
+    assert abl_distribution(protocol, query).probability("v") > 0.0
+    inserted = Protocol(protocol.preparation, protocol.post_pvm,
+                        intermediate=MeasureStage(query), selection="b0")
+    final_distribution(inserted)
+    assert run_ensemble(inserted, 1000, seed=0).trials == 1000
+    for flavor in Flavor:
+        evaluate(CounterfactualStatement(protocol, query, flavor))
+    config = tmp_path / "statement.json"
+    config.write_text(json.dumps(stmt.to_json_dict()))
+    code = main(["evaluate", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "classification: TRIVIALLY_TRUE" in captured.out

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prepost.core import EPS_NORM
+from prepost.core import EPS_NORM, MeasureStage, Protocol, PureState, axis_pvm, stage_branches
 from prepost.counterfactual import Classification
 from prepost.ensemble import CHUNK, run_ensemble
 from prepost.scenarios import (
@@ -245,6 +245,18 @@ class TestCrossedPolarizers:
         report = run_scenario("crossed_polarizers", {"theta": math.pi / 3}, 2000, 3)
         assert report.analytic["inserted_pass_probability"] == pytest.approx(3 / 16, abs=1e-10)
         assert report.verdicts["single"].classification is Classification.FALSE
+
+    def test_pass_probabilities_are_path_weights_of_the_tables(self):
+        theta = math.pi / 3
+        report = run_scenario("crossed_polarizers", {"theta": theta}, 100, 3)
+        final, middle = axis_pvm(math.pi / 2), axis_pvm(theta)
+        base = Protocol(PureState(("x", "y"), [1.0, 0.0]), final, selection="pass")
+        k = final.index("pass")
+        _, p, rows = stage_branches(base, None)
+        assert report.analytic["direct_pass_probability"] == (p * rows[:, k]).tolist()[0]
+        _, p, rows = stage_branches(base, MeasureStage(middle))
+        j = middle.index("pass")
+        assert report.analytic["inserted_pass_probability"] == (p * rows[:, k]).tolist()[j]
 
     def test_degenerate_angle_rejected(self):
         with pytest.raises(ValueError):
