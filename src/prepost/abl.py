@@ -60,20 +60,30 @@ class SelectionContext(Protocol):
                          selection=post_label)
 
 
+def _abl(p: np.ndarray, rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ABL's rule over a stack of joint tables, core._branches' (p, rows): for
+    each instance's selected final outcomes k (B, S), or (1, S) for the same
+    in all, the path weights p * rows[:, :, k] over their sum, (B, S, n), and
+    that sum (B, S). A selection whose sum is at most EPS_PROB gets zeros."""
+    weights = p[:, None, :] * rows[np.arange(len(p))[:, None], :, k]
+    # accumulate adds the branches in order, as the scalar rule's sum did.
+    denominator = np.add.accumulate(weights, axis=2)[..., -1]
+    return weights / np.where(denominator > EPS_PROB, denominator, np.inf)[..., None], denominator
+
+
 def _conditioned(protocol: Protocol, table: tuple) -> Distribution:
     """The branches of ``table``, a core.stage_branches result, conditioned on
-    the protocol's selected outcome: ABL's rule on p * rows[:, selection]."""
+    the protocol's selected outcome: _abl for the batch of one."""
     if protocol.selection is None:
         raise ValueError("the protocol must fix a selected outcome")
     labels, p, rows = table
-    weights = (p * rows[:, protocol.post_pvm.index(protocol.selection)]).tolist()
-    denominator = sum(weights)
-    if denominator <= EPS_PROB:
+    k = protocol.post_pvm.index(protocol.selection)
+    conditional, denominator = _abl(p[None], rows[None], np.array([[k]]))
+    if denominator[0, 0] <= EPS_PROB:
         raise ImpossiblePostSelection(
             f"outcome {protocol.selection!r} is unreachable through any outcome "
-            f"of the query (total weight {denominator!r})")
-    return Distribution(
-        [(label, w / denominator) for label, w in zip(labels, weights)])
+            f"of the query (total weight {float(denominator[0, 0])!r})")
+    return Distribution(list(zip(labels, conditional[0, 0])))
 
 
 def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:

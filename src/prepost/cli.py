@@ -35,6 +35,9 @@ class _Parser(argparse.ArgumentParser):
 # Upper bound on --trials; larger values are input errors (exit 2), like
 # --workers above ensemble.MAX_WORKERS. Sampling time grows with the trials.
 MAX_TRIALS = 10**9
+# Upper bound on --instances and --compound-instances. The compound suite
+# costs about 1 ms an instance, so this bound is hours, not days.
+MAX_INSTANCES = 10**7
 # Upper bound on --seed: the sampler keys Philox streams by it, 128 bits wide.
 MAX_SEED = 2**128 - 1
 
@@ -50,6 +53,10 @@ def _positive_int(text: str, limit: int | None = None) -> int:
 
 def _trial_count(text: str) -> int:
     return _positive_int(text, MAX_TRIALS)
+
+
+def _instance_count(text: str) -> int:
+    return _positive_int(text, MAX_INSTANCES)
 
 
 def _worker_count(text: str) -> int:
@@ -93,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--seed", type=_seed, default=0,
                          help="random seed (default 0, below 2**128; runs are reproducible)")
     runtime.add_argument("--workers", type=_worker_count, default=None,
-                         help=f"worker threads, at most {MAX_WORKERS}; verify "
-                              "also runs its suites on up to min(WORKERS, 5) "
-                              "forked processes; results do not depend on this")
+                         help=f"sampler threads, at most {MAX_WORKERS}; results "
+                              "do not depend on this")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,12 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[render, runtime],
         help="run randomized invariant suites and all scenario gates")
-    p_verify.add_argument("--instances", type=_positive_int, default=500,
-                          help="instances per identity suite (default 500)")
-    p_verify.add_argument("--compound-instances", type=_positive_int,
+    p_verify.add_argument("--instances", type=_instance_count, default=500,
+                          help=f"instances per identity suite (default 500, at "
+                               f"most {MAX_INSTANCES})")
+    p_verify.add_argument("--compound-instances", type=_instance_count,
                           default=200, dest="compound_instances",
                           help="instances for the compound-verdict suite "
-                               "(default 200)")
+                               f"(default 200, at most {MAX_INSTANCES})")
 
     sub.add_parser("list", parents=[render],
                    help="list the scenario catalogue and its parameters")

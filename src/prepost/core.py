@@ -607,23 +607,24 @@ def _require_same_dim(a: int, b: int, what: str) -> None:
         raise DimensionMismatch(f"{what}: {a} != {b}")
 
 
-def _born_rows(x: np.ndarray, pvm: ProjectiveMeasurement) -> np.ndarray:
-    """<x|P|x> per state row x and projector P, floored as max(0.0, v) is."""
-    _require_same_dim(x.shape[1], pvm.dim, "state vs measurement")
-    v = (x.conj()[:, None, None, :] @ pvm.stack @ x[:, None, :, None])[..., 0, 0].real
+def _born_rows(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """<x|P|x> per state row x and projector P of the matching (broadcast)
+    projector stack, floored as max(0.0, v) is: x (..., d), stack (..., m, d, d)."""
+    _require_same_dim(x.shape[-1], stack.shape[-1], "state vs measurement")
+    v = (x.conj()[..., None, None, :] @ stack @ x[..., None, :, None])[..., 0, 0].real
     return np.where(v > 0.0, v, 0.0)
 
 
-def _projected(a: np.ndarray, pvm, which) -> tuple[np.ndarray, np.ndarray]:
-    """Rows P_j a for the outcome indices j in ``which``, and each <P_j a|P_j a>."""
-    x = pvm.stack[which] @ a
+def _projected(stack: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows P a for each projector P of ``stack`` and state row a, and each <P a|P a>."""
+    x = (stack @ a[..., None])[..., 0]
     return x, (x.conj()[:, None, :] @ x[:, :, None])[:, 0, 0].real
 
 
 def born_distribution(state: PureState, pvm: ProjectiveMeasurement) -> Distribution:
     """Outcome probabilities <psi|P|psi>, stacked over ``pvm.stack``; bit-identical
     to v.conj() @ p @ v per projector where BLAS runs the same gemv/dot kernels."""
-    return Distribution(list(zip(pvm.labels, _born_rows(state.amplitudes[None], pvm)[0])))
+    return Distribution(list(zip(pvm.labels, _born_rows(state.amplitudes[None], pvm.stack)[0])))
 
 
 def collapse(state: PureState, pvm: ProjectiveMeasurement,
@@ -635,7 +636,7 @@ def collapse(state: PureState, pvm: ProjectiveMeasurement,
     """
     which = [pvm.index(outcome_label)]
     _require_same_dim(state.dim, pvm.dim, "state vs measurement")
-    x, weights = _projected(state.amplitudes, pvm, which)
+    x, weights = _projected(pvm.stack[which], state.amplitudes[None])
     if weights[0] <= EPS_PROB:
         raise ZeroProbabilityOutcome(
             f"outcome {outcome_label!r} has probability {float(weights[0])!r}")
@@ -647,21 +648,29 @@ def evolve(state: PureState, u: UnitaryOp) -> PureState:
     return PureState(state.basis_labels, u.matrix @ state.amplitudes)
 
 
-def _evolved(x: np.ndarray, u: UnitaryOp) -> np.ndarray:
-    """evolve's amplitudes for each row of x: no PureState is built."""
-    _require_same_dim(x.shape[1], u.dim, "state vs unitary")
-    return _renormalised((u.matrix @ x[:, :, None])[:, :, 0], "state vector")
+def _evolved(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """evolve's amplitudes for each row of x, by the matrix u or by the matching
+    matrix of a stack u: no PureState is built."""
+    _require_same_dim(x.shape[1], u.shape[-1], "state vs unitary")
+    return _renormalised((u @ x[:, :, None])[:, :, 0], "state vector")
 
 
-def _branches(a: np.ndarray, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
-    """(p, rows) of stage_branches for the state a measured by ``pvm``; a branch
-    is live by p alone, as ||P_j a||^2 rounds differently near EPS_PROB."""
-    p = _checked_rows(_born_rows(a[None], pvm))[0]
-    live = (p > EPS_PROB).nonzero()[0]
-    x, weights = _projected(a, pvm, live)
-    x = _evolved(_renormalised(x / np.sqrt(weights)[:, None], "state vector"), u)
-    rows = np.zeros((len(p), len(post.stack)))
-    rows[live] = _checked_rows(_born_rows(x, post))
+def _branches(a: np.ndarray, v: np.ndarray, queries: np.ndarray, finals: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """stage_branches' (p, rows) for B instances: states a (B, d) at the
+    intermediate time, measured by queries (B, n, d, d), each branch evolved
+    by v (B, d, d) and measured by finals (B, m, d, d); p is (B, n), rows
+    (B, n, m). Only live branches, the mask p > EPS_PROB, are collapsed,
+    evolved and checked (by p alone: ||P_j a||^2 rounds differently)."""
+    p = _checked_rows(_born_rows(a, queries))
+    live = p > EPS_PROB
+    which = live.nonzero()
+    x, weights = _projected(queries[which], a[which[0]])
+    x = _evolved(_renormalised(x / np.sqrt(weights)[:, None], "state vector"), v[which[0]])
+    branch = np.zeros(queries.shape[:3], complex)
+    branch[live] = x
+    rows = _born_rows(branch, finals[:, None])
+    rows[live] = _checked_rows(rows[live])
     return p, rows
 
 
@@ -685,14 +694,15 @@ def stage_branches(protocol: Protocol, stage: Stage
     strided views (see _renormalised). Each check is one test of a stacked
     array; only a failing test walks its rows, to raise what the chain would.
     """
-    at_t = _evolved(protocol.preparation.amplitudes[None], protocol.pre_to_t)
+    at_t = _evolved(protocol.preparation.amplitudes[None], protocol.pre_to_t.matrix)
     post = protocol.post_pvm
     if stage is None or isinstance(stage, UnitaryStage):
         if stage is not None:
-            at_t = _evolved(at_t, stage.unitary)
-        final = _evolved(at_t, protocol.t_to_post)
-        return (None,), np.array([1.0]), _checked_rows(_born_rows(final, post))
-    p, rows = _branches(at_t[0], stage.pvm, protocol.t_to_post, post)
+            at_t = _evolved(at_t, stage.unitary.matrix)
+        final = _evolved(at_t, protocol.t_to_post.matrix)
+        return (None,), np.array([1.0]), _checked_rows(_born_rows(final, post.stack))
+    (p,), (rows,) = _branches(at_t, protocol.t_to_post.matrix[None], stage.pvm.stack[None],
+                              post.stack[None])
     if isinstance(stage, FilterStage):
         absorbed = np.arange(len(p)) != stage.pvm.index(stage.pass_label)
         rows[absorbed] = np.eye(len(post.labels))[post.index(stage.absorb_label)]

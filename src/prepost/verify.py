@@ -4,36 +4,38 @@ Five invariant suites exercise the analytic engine on randomized instances
 in dimensions 2 to 4, each against a tolerance of 1e-10:
 
   abl_sum_to_one        conditional distributions are normalized
-  time_symmetry         swapping the two selections leaves them unchanged
+  time_symmetry         swapping the two selections and reversing the
+                        evolution leaves them unchanged
   born_marginalization  averaging over final outcomes recovers the Born rule
   oracle_equivalence    the engine matches brute-force path enumeration
   compound_triviality   compound-reading verdicts never deviate, and are
                         nontrivial exactly when the query is cotenable
 
-On top of the suites, every catalogue scenario is run once and its
-statistical agreement gates are recorded. With more than one worker, the
-suites run on up to min(workers, 5) forked processes while the scenarios run
-in the calling process. Each suite draws only from its own seeded stream, so
-reports are deterministic for a given seed, regardless of worker count.
+Instances are drawn as stacked arrays, a block at a time. The first four
+suites read a block's joint tables off one call of the stacked kernel and
+compare them with 1, with each other or with raw numpy; compound_triviality
+runs evaluate and cotenability_report per instance. Every catalogue
+scenario's agreement gates are recorded too. All of it runs in the calling
+process, each suite on its own seeded stream, so reports are deterministic
+for a given seed, regardless of worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .abl import ImpossiblePostSelection, SelectionContext, abl_distribution, post_outcome_distribution
+from .abl import ImpossiblePostSelection, _abl
 from .core import (
     EPS_COTEN,
     EPS_PROB,
     EPS_VERIFY as TOLERANCE,
-    Distribution,
     ProjectiveMeasurement,
     Protocol,
     PureState,
-    UnitaryOp,
-    born_distribution,
-    evolve,
+    _branches,
+    _evolved,
 )
 from .counterfactual import (
     Classification,
@@ -47,6 +49,9 @@ from .scenarios import available_scenarios, run_scenario
 
 DIMS = (2, 3, 4)
 MAX_RESAMPLES = 100
+# Most instances drawn and checked at once; the suites' working memory is
+# in proportion to it, whatever the instance count.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,7 @@ class SuiteResult:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "failures": self.failures,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -126,183 +124,176 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def _labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(k) for k in range(dim))
+def _states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    z = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _unitaries(rng: np.random.Generator, kinds: int, count: int, dim: int) -> np.ndarray:
+    """``kinds`` stacks of ``count`` Haar unitaries, from one batched QR."""
+    shape = (kinds * count, dim, dim)
+    q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return (q * (phases / np.abs(phases))[:, None, :]).reshape(kinds, count, dim, dim)
 
 
-def _unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _projectors(cols: np.ndarray, degenerate: bool) -> np.ndarray:
+    """The projectors onto the columns of each matrix of cols (count, d, d),
+    columns 0 and 1 spanning one outcome when ``degenerate``: (count, n, d, d)."""
+    c = cols.swapaxes(1, 2)
+    stack = c[:, :, :, None] * c.conj()[:, :, None, :]
+    if degenerate:
+        stack = np.concatenate([stack[:, :2].sum(1, keepdims=True), stack[:, 2:]], axis=1)
+    return stack
 
 
-def _pvm(rng: np.random.Generator, dim: int, prefix: str,
-         allow_degenerate: bool = True) -> ProjectiveMeasurement:
-    cols = _unitary(rng, dim)
-    blocks: list[list[int]] = [[k] for k in range(dim)]
-    if allow_degenerate and dim >= 3 and rng.random() < 0.5:
-        blocks = [[0, 1]] + [[k] for k in range(2, dim)]
-    outcomes = []
-    for i, block in enumerate(blocks):
-        sub = cols[:, block]
-        outcomes.append((f"{prefix}{i}", sub @ sub.conj().T))
-    return ProjectiveMeasurement(outcomes)
+def _binary(rng: np.random.Generator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Final stacks {|b><b|, 1 - |b><b|} for each row b, the selected |b><b| at a
+    drawn index k; returns the stacks and k (B, 1)."""
+    sel = b[:, :, None] * b.conj()[:, None, :]
+    rest = np.eye(b.shape[1]) - sel
+    k = rng.integers(2, size=(len(b), 1))
+    first = (k == 0)[:, :, None]
+    stacks = np.stack([np.where(first, sel, rest), np.where(first, rest, sel)], axis=1)
+    return stacks, k
 
 
-def _rank1_post(rng: np.random.Generator, dim: int) -> tuple[ProjectiveMeasurement, str, np.ndarray]:
-    b = _unit(rng, dim)
-    state = PureState(_labels(dim), b)
-    return ProjectiveMeasurement.binary_from_state(state, "sel", "rest"), "sel", b
+def _pvm(stack: np.ndarray, prefix: str) -> ProjectiveMeasurement:
+    return ProjectiveMeasurement([(f"{prefix}{j}", m) for j, m in enumerate(stack)])
 
 
-def _suite(name: str, instances: int, dims: tuple[int, ...], draw) -> SuiteResult:
-    """Tally ``instances`` instances, the k-th drawn in dimension dims[k % len(dims)].
+def _groups(instances: int, dims: tuple[int, ...], pvms: int):
+    """(dim, shape, count) for each group of instances drawn alike. The k-th
+    instance has dimension dims[k % len(dims)]; above dimension 2, the
+    instances of a dimension take turns over the 2**pvms shapes, each of the
+    ``pvms`` drawn measurements rank-1 or degenerate (True)."""
+    for i, dim in enumerate(dims):
+        shapes = (list(itertools.product((False, True), repeat=pvms)) if dim > 2
+                  else [(False,) * pvms])
+        in_dim = len(range(i, instances, len(dims)))
+        for s, shape in enumerate(shapes):
+            yield dim, shape, len(range(s, in_dim, len(shapes)))
 
-    draw(dim) returns (error, ok), or None to draw again. An instance fails
-    when error > TOLERANCE or when it is not ok.
+
+def _suite(name: str, instances: int, dims: tuple[int, ...], pvms: int, check) -> SuiteResult:
+    """Tally ``instances`` instances, drawn per _groups in blocks of at most BLOCK.
+
+    check(count, dim, shape) draws ``count`` instances and returns the error
+    of each one it can use; the rest (impossible selections) are drawn again,
+    up to MAX_RESAMPLES times. An instance fails unless its error is at most
+    TOLERANCE; NaN marks one that failed outright.
     """
     failures, max_error = 0, 0.0
-    for k in range(instances):
-        for _ in range(MAX_RESAMPLES):
-            drawn = draw(dims[k % len(dims)])
-            if drawn is not None:
-                break
-        else:
-            raise RuntimeError("could not draw a usable instance")
-        error, ok = drawn
-        max_error = max(max_error, error)
-        if error > TOLERANCE or not ok:
-            failures += 1
+    for dim, shape, count in _groups(instances, dims, pvms):
+        for lo in range(0, count, BLOCK):
+            need = min(BLOCK, count - lo)
+            for _ in range(MAX_RESAMPLES):
+                error = check(need, dim, shape)
+                failures += int(np.count_nonzero(~(error <= TOLERANCE)))
+                max_error = float(np.fmax.reduce(error, initial=max_error))
+                need -= len(error)
+                if need == 0:
+                    break
+            else:
+                raise RuntimeError("could not draw a usable instance")
     return SuiteResult(name, instances, failures, max_error, TOLERANCE)
-
-
-def _max_gap(dist: Distribution, expected: dict[str, float]) -> float:
-    return max(abs(dist.probability(label) - p) for label, p in expected.items())
 
 
 def _suite_sum_to_one(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 0)
 
-    def draw(dim: int):
-        pre = PureState(_labels(dim), _unit(rng, dim))
-        post = _pvm(rng, dim, "b")
-        label = post.labels[int(rng.integers(len(post.labels)))]
-        u = UnitaryOp(_unitary(rng, dim))
-        v = UnitaryOp(_unitary(rng, dim))
-        query = _pvm(rng, dim, "q")
-        try:
-            dist = abl_distribution(SelectionContext(pre, post, label, u, v), query)
-        except ImpossiblePostSelection:
-            return None
-        return abs(sum(p for _, p in dist) - 1.0), True
-    return _suite("abl_sum_to_one", instances, DIMS, draw)
+    def check(count: int, dim: int, shape: tuple[bool, ...]) -> np.ndarray:
+        a = _states(rng, count, dim)
+        u, v, q, f = _unitaries(rng, 4, count, dim)
+        finals = _projectors(f, shape[1])
+        k = rng.integers(finals.shape[1], size=(count, 1))
+        conditional, denominator = _abl(*_branches(_evolved(a, u), v, _projectors(q, shape[0]), finals), k)
+        return np.abs(conditional.sum(2) - 1.0)[denominator > EPS_PROB]
+    return _suite("abl_sum_to_one", instances, DIMS, 2, check)
 
 
 def _suite_time_symmetry(instances: int, seed: int) -> SuiteResult:
+    # ABL over (a, U, V, b) equals ABL over (b, V^dagger, U^dagger, a).
     rng = _rng(seed, 1)
 
-    def draw(dim: int):
-        a = _unit(rng, dim)
-        b = _unit(rng, dim)
-        query = _pvm(rng, dim, "q")
-        post_b = ProjectiveMeasurement.binary_from_state(
-            PureState(_labels(dim), b), "sel", "rest")
-        post_a = ProjectiveMeasurement.binary_from_state(
-            PureState(_labels(dim), a), "sel", "rest")
-        try:
-            forward = abl_distribution(
-                SelectionContext(PureState(_labels(dim), a), post_b, "sel"), query)
-            backward = abl_distribution(
-                SelectionContext(PureState(_labels(dim), b), post_a, "sel"), query)
-        except ImpossiblePostSelection:
-            return None
-        return max(abs(forward.probability(l) - backward.probability(l))
-                   for l in query.labels), True
-    return _suite("time_symmetry", instances, DIMS, draw)
+    def check(count: int, dim: int, shape: tuple[bool, ...]) -> np.ndarray:
+        a, b = _states(rng, 2 * count, dim).reshape(2, count, dim)
+        u, v, q = _unitaries(rng, 3, count, dim)
+        queries = _projectors(q, shape[0])
+        (to_b, kb), (to_a, ka) = _binary(rng, b), _binary(rng, a)
+        forward, wf = _abl(*_branches(_evolved(a, u), v, queries, to_b), kb)
+        backward, wb = _abl(*_branches(_evolved(b, v.conj().swapaxes(1, 2)),
+                                       u.conj().swapaxes(1, 2), queries, to_a), ka)
+        return np.abs(forward - backward).max(2)[(wf > EPS_PROB) & (wb > EPS_PROB)]
+    return _suite("time_symmetry", instances, DIMS, 1, check)
 
 
 def _suite_born_marginalization(instances: int, seed: int) -> SuiteResult:
     rng = _rng(seed, 2)
 
-    def draw(dim: int):
-        pre = PureState(_labels(dim), _unit(rng, dim))
-        post = _pvm(rng, dim, "b")
-        u = UnitaryOp(_unitary(rng, dim))
-        v = UnitaryOp(_unitary(rng, dim))
-        query = _pvm(rng, dim, "q")
-
-        weights = post_outcome_distribution(pre, post, intermediate=query,
-                                            pre_to_t=u, t_to_post=v)
-        mixed = {label: 0.0 for label in query.labels}
-        for b_label, b_prob in weights:
-            if b_prob <= EPS_PROB:
-                continue
-            cond = abl_distribution(
-                SelectionContext(pre, post, b_label, u, v), query)
-            for q_label in query.labels:
-                mixed[q_label] += b_prob * cond.probability(q_label)
-        return _max_gap(born_distribution(evolve(pre, u), query), mixed), True
-    return _suite("born_marginalization", instances, DIMS, draw)
-
-
-def _brute_force_abl(a: np.ndarray, u: np.ndarray, q_projectors: list[np.ndarray],
-                     v: np.ndarray, b_projector: np.ndarray) -> np.ndarray:
-    # Enumerate each intermediate outcome as an explicit matrix path.
-    weights = np.array([
-        float(np.linalg.norm(b_projector @ v @ p @ u @ a) ** 2)
-        for p in q_projectors
-    ])
-    return weights / weights.sum()
+    def check(count: int, dim: int, shape: tuple[bool, ...]) -> np.ndarray:
+        a = _states(rng, count, dim)
+        u, v, q, f = _unitaries(rng, 4, count, dim)
+        queries = _projectors(q, shape[0])
+        p, rows = _branches(_evolved(a, u), v, queries, _projectors(f, shape[1]))
+        conditional, _ = _abl(p, rows, np.arange(rows.shape[2])[None])
+        # Mix the conditionals by each final outcome's weight with the query in place.
+        mixed = (conditional * (p[:, :, None] * rows).sum(1)[:, :, None]).sum(1)
+        projected = np.einsum("bjxy,byz,bz->bjx", queries, u, a)  # P_j U a
+        return np.abs(mixed - (np.abs(projected) ** 2).sum(2)).max(1)
+    return _suite("born_marginalization", instances, DIMS, 2, check)
 
 
 def _suite_oracle_equivalence(instances: int, seed: int) -> SuiteResult:
+    # Every final outcome is conditioned on in turn, so no selection sits at
+    # a fixed index that a wrong column could read.
     rng = _rng(seed, 3)
 
-    def draw(dim: int):
-        a = _unit(rng, dim)
-        u = _unitary(rng, dim)
-        v = _unitary(rng, dim)
-        query = _pvm(rng, dim, "q")
-        post, label, b = _rank1_post(rng, dim)
-        try:
-            dist = abl_distribution(
-                SelectionContext(PureState(_labels(dim), a), post, label,
-                                 UnitaryOp(u), UnitaryOp(v)),
-                query)
-        except ImpossiblePostSelection:
-            return None
-        expected = _brute_force_abl(
-            a, u, [query.projector(l) for l in query.labels], v,
-            np.outer(b, b.conj()))
-        return max(abs(dist.probability(l) - e)
-                   for l, e in zip(query.labels, expected)), True
-    return _suite("oracle_equivalence", instances, DIMS, draw)
+    def check(count: int, dim: int, shape: tuple[bool, ...]) -> np.ndarray:
+        a = _states(rng, count, dim)
+        u, v, q, f = _unitaries(rng, 4, count, dim)
+        queries, finals = _projectors(q, shape[0]), _projectors(f, shape[1])
+        conditional, denominator = _abl(*_branches(_evolved(a, u), v, queries, finals),
+                                        np.arange(finals.shape[1])[None])
+        # Enumerate each path j -> k as its explicit amplitude P_k V P_j U a.
+        paths = np.einsum("bkxy,byz,bjzw,bwt,bt->bkjx", finals, v, queries, u, a,
+                          optimize=True)
+        usable = (denominator > EPS_PROB).all(1)
+        weights = (np.abs(paths[usable]) ** 2).sum(3)
+        expected = weights / weights.sum(2, keepdims=True)
+        return np.abs(conditional[usable] - expected).max((1, 2))
+    return _suite("oracle_equivalence", instances, DIMS, 2, check)
 
 
 def _suite_compound_triviality(instances: int, seed: int) -> SuiteResult:
+    # The public verdict path, instance by instance; an engine error other
+    # than an impossible selection fails the instance.
     rng = _rng(seed, 4)
 
-    def draw(dim: int):
-        pre = PureState(_labels(dim), _unit(rng, dim))
-        post = _pvm(rng, dim, "b", allow_degenerate=False)
-        label = post.labels[int(rng.integers(len(post.labels)))]
-        query = _pvm(rng, dim, "q")
-        base = Protocol(pre, post, selection=label)
-        try:
-            verdict = evaluate(CounterfactualStatement(base, query, Flavor.COMPOUND))
-        except ImpossiblePostSelection:
-            return None
-        coten = cotenability_report(base, query)
-        consistent = (
-            (verdict.classification is Classification.NONTRIVIALLY_TRUE)
-            == (coten.tvd <= EPS_COTEN))
-        return verdict.max_deviation, verdict.max_deviation <= TOLERANCE and consistent
-    return _suite("compound_triviality", instances, (2, 3), draw)
+    def check(count: int, dim: int, shape: tuple[bool, ...]) -> np.ndarray:
+        a = _states(rng, count, dim)
+        q, f = _unitaries(rng, 2, count, dim)
+        queries, finals = _projectors(q, shape[0]), _projectors(f, False)
+        k = rng.integers(dim, size=count)
+        labels = tuple(str(j) for j in range(dim))
+        errors = []
+        for i in range(count):
+            base = Protocol(PureState(labels, a[i]), _pvm(finals[i], "b"),
+                            selection=f"b{k[i]}")
+            query = _pvm(queries[i], "q")
+            try:
+                verdict = evaluate(CounterfactualStatement(base, query, Flavor.COMPOUND))
+                coten = cotenability_report(base, query)
+            except ImpossiblePostSelection:
+                continue
+            except ValueError:
+                errors.append(np.nan)
+                continue
+            consistent = ((verdict.classification is Classification.NONTRIVIALLY_TRUE)
+                          == (coten.tvd <= EPS_COTEN))
+            errors.append(verdict.max_deviation if consistent else np.nan)
+        return np.array(errors)
+    return _suite("compound_triviality", instances, (2, 3), 1, check)
 
 
 _SUITES = (_suite_sum_to_one, _suite_time_symmetry, _suite_born_marginalization,
@@ -314,8 +305,8 @@ def run_verification(instances: int = 500, compound_instances: int = 200,
                      workers: int | None = None) -> VerificationReport:
     """Run every invariant suite and every scenario's agreement gates.
 
-    With more than one worker the suites run on forked processes while the
-    scenario gates run here; each suite depends only on (instances, seed).
+    All of it runs in the calling process; ``workers`` is the scenarios'
+    sampler thread count, and no result depends on it.
     """
     if instances < 1:
         raise ValueError("instances must be at least 1")
@@ -325,29 +316,9 @@ def run_verification(instances: int = 500, compound_instances: int = 200,
         raise ValueError("trials must be at least 1")
     workers = resolve_workers(workers)
     sizes = (instances,) * 4 + (compound_instances,)
-
-    def scenario_gates() -> dict[str, bool]:
-        return {info.name: run_scenario(info.name, None, trials, seed,
-                                        workers=workers).all_gates_passed
-                for info in available_scenarios()}
-
-    processes = min(workers, len(_SUITES))
-    if processes > 1:
-        # Imported here so that commands which never verify do not pay for it.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if "fork" not in multiprocessing.get_all_start_methods():
-            processes = 1
-    if processes == 1:
-        suites = tuple(suite(n, seed) for suite, n in zip(_SUITES, sizes))
-        gates = scenario_gates()
-    else:
-        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
-        try:
-            futures = [pool.submit(suite, n, seed) for suite, n in zip(_SUITES, sizes)]
-            gates = scenario_gates()
-            suites = tuple(f.result() for f in futures)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    suites = tuple(suite(n, seed) for suite, n in zip(_SUITES, sizes))
+    gates = {info.name: run_scenario(info.name, None, trials, seed,
+                                     workers=workers).all_gates_passed
+             for info in available_scenarios()}
     return VerificationReport(seed, instances, compound_instances, trials,
                               suites, gates)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from prepost.cli import MAX_SEED, MAX_TRIALS, MAX_WORKERS, build_parser, main
+from prepost.cli import MAX_INSTANCES, MAX_SEED, MAX_TRIALS, MAX_WORKERS, build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -341,8 +341,8 @@ PINNED_REPORTS = {
                             ("crossed_polarizers", "b0dd1c51d9e72e1b"),
                             ("epr_no_signaling", "af124bfacf4920cc"),
                             ("epr_timelike_detection", "bbd043df9b05b368")]},
-    "verify-json": (SMALL_VERIFY + ["--format", "json"], "aeaf140d59399818"),
-    "verify-text": (SMALL_VERIFY + ["--format", "text"], "cae213f59a4fa9b6"),
+    "verify-json": (SMALL_VERIFY + ["--format", "json"], "181ff851570d28cc"),
+    "verify-text": (SMALL_VERIFY + ["--format", "text"], "ba0eacf8fc87664d"),
     "evaluate-json": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),
                        "--format", "json"], "1468b497ff3ff517"),
     "evaluate-text": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),
@@ -425,6 +425,19 @@ class TestOutputAndUsage:
         assert code == 2
         assert f"must be at most {limit}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--instances", "--compound-instances"])
+    def test_instance_counts_above_their_bound_rejected(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", flag, str(MAX_INSTANCES + 1))
+        assert code == 2
+        assert err.splitlines() == [f"error: argument {flag}: must be at most {MAX_INSTANCES}"]
+        assert out == ""
+
+    def test_instance_bounds_themselves_are_accepted(self):
+        ns = build_parser().parse_args(
+            ["verify", "--instances", str(MAX_INSTANCES),
+             "--compound-instances", str(MAX_INSTANCES)])
+        assert (ns.instances, ns.compound_instances) == (MAX_INSTANCES, MAX_INSTANCES)
 
     def test_bounds_themselves_are_accepted(self):
         ns = build_parser().parse_args(

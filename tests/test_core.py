@@ -34,6 +34,7 @@ from prepost.core import (
     UnitaryStage,
     ZeroProbabilityOutcome,
     _branches,
+    _evolved,
     axis_pvm,
     born_distribution,
     collapse,
@@ -240,9 +241,16 @@ class TestCollapse:
             collapse(z_plus(), sigma_z(), "sideways")
 
 
+def _kernel(a, pvm, u, post) -> tuple[np.ndarray, np.ndarray]:
+    """_branches as the batch of one: the state a measured by ``pvm``, each
+    branch evolved by ``u`` and measured by ``post``."""
+    p, rows = _branches(a[None], u.matrix[None], pvm.stack[None], post.stack[None])
+    return p[0], rows[0]
+
+
 class TestBranchDistributions:
     def test_rows_follow_each_branch(self):
-        p, rows = _branches(z_plus().amplitudes, sigma_x(), UnitaryOp.identity(2),
+        p, rows = _kernel(z_plus().amplitudes, sigma_x(), UnitaryOp.identity(2),
                             sigma_z())
         assert np.allclose(p, [0.5, 0.5], atol=EPS_NORM)
         assert np.allclose(rows, [[0.5, 0.5], [0.5, 0.5]], atol=EPS_NORM)
@@ -251,7 +259,7 @@ class TestBranchDistributions:
         # Collapsing onto z- would raise; the routine must not attempt it.
         with pytest.raises(ZeroProbabilityOutcome):
             collapse(z_plus(), sigma_z(), "z-")
-        p, rows = _branches(z_plus().amplitudes, sigma_z(), UnitaryOp.identity(2),
+        p, rows = _kernel(z_plus().amplitudes, sigma_z(), UnitaryOp.identity(2),
                             sigma_x())
         assert p[1] == 0.0
         assert np.array_equal(rows[1], [0.0, 0.0])
@@ -259,7 +267,7 @@ class TestBranchDistributions:
 
     def test_outcome_below_eps_prob_gets_a_zero_row(self):
         state = PureState(("z+", "z-"), [math.sqrt(1.0 - 1e-13), math.sqrt(1e-13)])
-        p, rows = _branches(state.amplitudes, sigma_z(), UnitaryOp.identity(2),
+        p, rows = _kernel(state.amplitudes, sigma_z(), UnitaryOp.identity(2),
                             sigma_x())
         assert 0.0 < p[1] <= EPS_PROB
         assert np.array_equal(rows[1], [0.0, 0.0])
@@ -440,7 +448,7 @@ class TestStackedKernels:
         for seed in self.SEEDS:
             state, pvm, u, post, kind = _kernel_instance(seed)
             want = _result(_loop_branches, state, pvm, u, post)
-            got = _result(_branches, state.amplitudes, pvm, u, post)
+            got = _result(_kernel, state.amplitudes, pvm, u, post)
             if isinstance(want[0], type):  # an error is raised as the loop raises it
                 assert got == want, seed
                 continue
@@ -478,12 +486,60 @@ class TestStackedKernels:
                          (sigma_x(), UnitaryOp.identity(2), pvm),
                          (sigma_x(), UnitaryOp.identity(3), sigma_z()),
                          (sigma_x(), UnitaryOp.identity(2), box_pvm("A"))):
-                got = _result(_branches, state.amplitudes, *args)
+                got = _result(_kernel, state.amplitudes, *args)
                 want = _result(_loop_branches, state, *args)
                 if isinstance(want[0], type):
                     assert got == want
                 else:
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _batch(rng, count: int, dim: int, degenerate: bool) -> list[Protocol]:
+    """count protocols in dim with evolution on both sides, each carrying its
+    query as its MeasureStage. A degenerate query or final measurement has
+    two outcomes, so all of a batch have the same number."""
+    labels = tuple(f"s{k}" for k in range(dim))
+
+    def pvm(prefix: str) -> ProjectiveMeasurement:
+        mats = random_pvm_projectors(rng, dim, allow_degenerate=degenerate)
+        while len(mats) != (2 if degenerate else dim):
+            mats = random_pvm_projectors(rng, dim, allow_degenerate=degenerate)
+        return ProjectiveMeasurement([(f"{prefix}{k}", m) for k, m in enumerate(mats)])
+    protocols = []
+    for _ in range(count):
+        query, post = pvm("q"), pvm("f")
+        protocols.append(Protocol(PureState(labels, random_unit_vector(rng, dim)), post,
+                                  MeasureStage(query), UnitaryOp(random_unitary(rng, dim)),
+                                  UnitaryOp(random_unitary(rng, dim))))
+    return protocols
+
+
+def _stacked(protocols: list[Protocol]) -> tuple[np.ndarray, np.ndarray]:
+    """_branches over the protocols as one batch: their states evolved to the
+    intermediate time, their queries, evolutions and final stacks."""
+    a = np.array([x.preparation.amplitudes for x in protocols])
+    u, v = (np.array([getattr(x, w).matrix for x in protocols])
+            for w in ("pre_to_t", "t_to_post"))
+    queries, finals = (np.array([m.stack for m in ms]) for ms in
+                       ([x.intermediate.pvm for x in protocols], [x.post_pvm for x in protocols]))
+    return _branches(_evolved(a, u), v, queries, finals)
+
+
+class TestInstanceAxis:
+    """The kernel's leading axis: a batch of one is stage_branches bit for
+    bit, and rows of a larger batch agree with single calls to 2e-15."""
+
+    @pytest.mark.parametrize("dim, degenerate", [(2, False), (3, False), (3, True),
+                                                 (4, False), (4, True), (6, True)])
+    def test_batched_rows_match_single_calls(self, dim, degenerate):
+        protocols = _batch(np.random.default_rng(dim + 10 * degenerate), 100, dim, degenerate)
+        p, rows = _stacked(protocols)
+        for i, protocol in enumerate(protocols):
+            _, want_p, want_rows = stage_branches(protocol, protocol.intermediate)
+            one_p, one_rows = _stacked([protocol])
+            assert np.array_equal(one_p[0], want_p) and np.array_equal(one_rows[0], want_rows)
+            assert np.abs(p[i] - want_p).max() <= 2e-15, i
+            assert np.abs(rows[i] - want_rows).max() <= 2e-15, i
 
 
 class TestEvolve:

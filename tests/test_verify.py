@@ -1,13 +1,16 @@
 """Randomized invariant suites and the aggregate verification report."""
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import multiprocessing
+import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from prepost import verify
+import prepost
+from prepost import abl, verify
 from prepost.ensemble import MAX_WORKERS
 from prepost.verify import VerificationReport, run_verification
 
@@ -113,17 +116,15 @@ class TestWorkers:
             run_verification(instances=10, compound_instances=5, trials=100,
                              seed=1, workers=workers)
 
-    def test_pool_is_bounded_and_no_process_outlives_the_run(self, monkeypatch):
-        pools = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                super().__init__(max_workers, **kwargs)
-                pools.append((self, max_workers))  # kept alive past the run
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        run_verification(instances=10, compound_instances=5, trials=500,
-                         seed=1, workers=MAX_WORKERS)
-        assert [n for _, n in pools] == [5]
+    @pytest.mark.parametrize("workers", [1, 2, MAX_WORKERS])
+    def test_no_process_is_started(self, monkeypatch, workers):
+        def started(*args, **kwargs):
+            raise AssertionError("a process was started")
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", started)
+        monkeypatch.setattr(os, "fork", started)
+        report = run_verification(instances=10, compound_instances=5, trials=500,
+                                  seed=1, workers=workers)
+        assert report.all_passed
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -133,3 +134,56 @@ class TestWorkers:
             run_verification(instances=10, compound_instances=5, trials=500,
                              seed=1, workers=workers)
         assert multiprocessing.active_children() == []
+
+
+def _fault_column_zero(p, rows, k):
+    """Conditions on final outcome 0 whatever the selection."""
+    return REAL_ABL(p, rows, np.zeros_like(k))
+
+
+def _fault_scaled_denominator(p, rows, k):
+    """Divides the path weights by 1.001 times their sum."""
+    conditional, denominator = REAL_ABL(p, rows, k)
+    return conditional / 1.001, denominator * 1.001
+
+
+REAL_ABL = abl._abl
+FAULTS = {
+    "column_zero": (_fault_column_zero,
+                    {"born_marginalization", "oracle_equivalence"}),
+    "scaled_denominator": (_fault_scaled_denominator,
+                           {"abl_sum_to_one", "born_marginalization",
+                            "oracle_equivalence", "compound_triviality"}),
+}
+
+
+class TestFaultsAreCaught:
+    """A wrong conditioning is failed by count, on every instance of each
+    suite named for it, and no suite raises."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_named_suites_fail_every_instance(self, monkeypatch, fault):
+        wrong, named = FAULTS[fault]
+        for module in (prepost, abl, verify):
+            if getattr(module, "_abl", None) is REAL_ABL:
+                monkeypatch.setattr(module, "_abl", wrong)
+        results = {r.name: r for r in (suite(60, 2) for suite in verify._SUITES)}
+        for name in named:
+            assert results[name].failures == results[name].instances == 60, name
+
+
+class TestMemory:
+    def test_working_memory_does_not_grow_with_instances(self):
+        # At 12 blocks each dimension-3 and -4 group of abl_sum_to_one is one
+        # block; at 96 blocks it is eight.
+        verify._suite_sum_to_one(40, 0)  # one-time allocations
+        peaks = []
+        for blocks in (12, 96):
+            tracemalloc.start()
+            try:
+                result = verify._suite_sum_to_one(blocks * verify.BLOCK, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.failures == 0
+        assert peaks[1] < 1.25 * peaks[0], peaks
