@@ -71,29 +71,29 @@ def _abl(p: np.ndarray, rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np
     return weights / np.where(denominator > EPS_PROB, denominator, np.inf)[..., None], denominator
 
 
-def _conditioned(protocol: Protocol, table: tuple) -> Distribution:
-    """The branches of ``table``, a core.stage_branches result, conditioned on
-    the protocol's selected outcome: _abl for the batch of one."""
-    if protocol.selection is None:
-        raise ValueError("the protocol must fix a selected outcome")
-    labels, p, rows = table
-    k = protocol.post_pvm.index(protocol.selection)
-    conditional, denominator = _abl(p[None], rows[None], np.array([[k]]))
-    if denominator[0, 0] <= EPS_PROB:
+def _reachable(selection: str, denominator: float) -> None:
+    """Raise ImpossiblePostSelection unless the ABL denominator exceeds EPS_PROB."""
+    if denominator <= EPS_PROB:
         raise ImpossiblePostSelection(
-            f"outcome {protocol.selection!r} is unreachable through any outcome "
-            f"of the query (total weight {float(denominator[0, 0])!r})")
-    return Distribution(list(zip(labels, conditional[0, 0])))
+            f"outcome {selection!r} is unreachable through any outcome "
+            f"of the query (total weight {float(denominator)!r})")
 
 
 def abl_distribution(ctx: Protocol, q: ProjectiveMeasurement) -> Distribution:
     """Distribution of query outcomes conditioned on both selections of
-    ``ctx``, with q measured in place of its intermediate stage.
+    ``ctx``, with q measured in place of its intermediate stage: _abl for the
+    batch of one.
 
     Raises ImpossiblePostSelection when every path weight vanishes, meaning
     that with Q measured in between, outcome b can never occur.
     """
-    return _conditioned(ctx, stage_branches(ctx, MeasureStage(q)))
+    labels, p, rows = stage_branches(ctx, MeasureStage(q))
+    if ctx.selection is None:
+        raise ValueError("the protocol must fix a selected outcome")
+    k = ctx.post_pvm.index(ctx.selection)
+    conditional, denominator = _abl(p[None], rows[None], np.array([[k]]))
+    _reachable(ctx.selection, denominator[0, 0])
+    return Distribution(list(zip(labels, conditional[0, 0])))
 
 
 def final_distribution(protocol: Protocol) -> Distribution:
@@ -111,9 +111,8 @@ def _mixture(protocol: Protocol, stage: Stage, table: tuple) -> Distribution:
         mixture = p[j] * rows[j]
         mixture[post.index(stage.absorb_label)] += 1.0 - min(p[j], 1.0)
     else:
-        # Python's sum adds the rows in branch order from zero, as the
-        # per-branch loop did; ndarray.sum may reorder the additions.
-        mixture = sum(p[:, None] * rows, np.zeros(len(post.labels)))
+        # accumulate adds the rows in branch order, as the per-branch loop did.
+        mixture = np.add.accumulate(p[:, None] * rows)[-1]
     return Distribution(list(zip(post.labels, mixture)))
 
 

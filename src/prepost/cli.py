@@ -35,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
 # Upper bound on --trials; larger values are input errors (exit 2), like
 # --workers above ensemble.MAX_WORKERS. Sampling time grows with the trials.
 MAX_TRIALS = 10**9
-# Upper bound on --instances and --compound-instances. The compound suite
-# costs about 1 ms an instance, so this bound is hours, not days.
+# Upper bound on --instances and --compound-instances: at about 10 us an
+# instance per suite, minutes of work, in memory bounded by verify.BLOCK.
 MAX_INSTANCES = 10**7
 # Upper bound on --seed: the sampler keys Philox streams by it, 128 bits wide.
 MAX_SEED = 2**128 - 1

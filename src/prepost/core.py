@@ -442,7 +442,10 @@ def total_variation(p: Distribution, q: Distribution) -> float:
     """Half the L1 distance between two distributions over the same labels."""
     if set(p.labels) != set(q.labels):
         raise ValueError(f"label mismatch: {p.labels} vs {q.labels}")
-    return 0.5 * sum(abs(prob - q.probability(label)) for label, prob in p)
+    total = 0.0  # added in label order on every Python; sum() compensates from 3.12
+    for label, prob in p:
+        total += abs(prob - q.probability(label))
+    return 0.5 * total
 
 
 # Intermediate-stage vocabulary shared by the protocol and analysis layers.

@@ -26,9 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .abl import _conditioned, _mixture, final_distribution
+import numpy as np
+
+from . import abl
 from .core import (EPS_COTEN, EPS_NORM, Distribution, FilterStage, MeasureStage,
-                   ProjectiveMeasurement, Protocol, Stage, stage_branches,
+                   ProjectiveMeasurement, Protocol, Stage, _checked_rows, stage_branches,
                    total_variation)
 
 
@@ -139,17 +141,28 @@ def cotenability_report(base_protocol: Protocol,
     inserted = MeasureStage(query) if isinstance(query, ProjectiveMeasurement) else query
     if not isinstance(inserted, (MeasureStage, FilterStage)):
         raise TypeError(f"cannot insert {query!r} as an intervening stage")
-    return _cotenability(p, inserted, stage_branches(p, inserted))
-
-
-def _cotenability(p: Protocol, inserted: Stage, asked: tuple) -> CotenabilityReport:
-    """The report, its disturbed side read off ``asked``, the inserted stage's table."""
-    undisturbed = final_distribution(p)
-    disturbed = _mixture(p, inserted, asked)
-    tvd = total_variation(undisturbed, disturbed)
+    undisturbed = abl.final_distribution(p)
+    disturbed = abl._mixture(p, inserted, stage_branches(p, inserted))
+    tvd, cotenable = _disturbance(undisturbed.probabilities[None], disturbed.probabilities[None])
     delta = disturbed.probability(p.selection) - undisturbed.probability(p.selection)
-    return CotenabilityReport(undisturbed, disturbed, tvd, delta,
-                              cotenable=tvd <= EPS_COTEN)
+    return CotenabilityReport(undisturbed, disturbed, float(tvd[0]), delta, bool(cotenable[0]))
+
+
+def _disturbance(undisturbed: np.ndarray, disturbed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row pair's total_variation, added in label order, and whether it is cotenable."""
+    tvd = 0.5 * np.add.accumulate(np.abs(undisturbed - disturbed), axis=1)[:, -1]
+    return tvd, tvd <= EPS_COTEN
+
+
+def _verdicts(p: np.ndarray, rows: np.ndarray, k: np.ndarray, undisturbed: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The verdict rule over B queries' tables, core._branches' (p, rows), given
+    selected final outcomes k (B,) and final distributions without the query
+    (B, m): abl._abl's claimed rows (B, n) and denominators (B,), and the
+    _disturbance of the query's mixture, made as _mixture's Distribution is."""
+    conditional, denominator = abl._abl(p, rows, k[:, None])
+    disturbed = _checked_rows(np.add.accumulate(p[:, :, None] * rows, axis=1)[:, -1])
+    return (conditional[:, 0], denominator[:, 0], *_disturbance(undisturbed, disturbed))
 
 
 def evaluate(stmt: CounterfactualStatement) -> Verdict:
@@ -158,8 +171,8 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
     The claimed distribution is the conditional (ABL) distribution of query
     outcomes given both selections. The world is the query's Born weights
     from the evolved preparation (single) or the claim itself (compound).
-    Both and the disturbed side of the cotenability report come from one
-    table, the query's. Classification:
+    Both and the cotenable flag come from the query's table by _verdicts,
+    for a batch of one. Classification:
 
     - single antecedent: FALSE when the world deviates from the claim,
       TRUE_BY_COINCIDENCE when it happens to match (commuting cases).
@@ -167,18 +180,21 @@ def evaluate(stmt: CounterfactualStatement) -> Verdict:
       when the insertion is cotenable with the selection, TRIVIALLY_TRUE
       otherwise.
     """
-    p, inserted = stmt.base_protocol, MeasureStage(stmt.query)
-    asked = stage_branches(p, inserted)
-    claimed = _conditioned(p, asked)
-    world = (Distribution(list(zip(asked[0], asked[1])))
+    p = stmt.base_protocol
+    labels, weights, rows = stage_branches(p, MeasureStage(stmt.query))
+    claimed, denominator, _, cotenable = _verdicts(
+        weights[None], rows[None], np.array([p.post_pvm.index(p.selection)]),
+        abl.final_distribution(p).probabilities[None])
+    abl._reachable(p.selection, denominator[0])
+    claimed = Distribution(list(zip(labels, claimed[0])))
+    world = (Distribution(list(zip(labels, weights)))
              if stmt.flavor is Flavor.SINGLE else claimed)
     deviation = total_variation(claimed, world)
-    cotenable = _cotenability(p, inserted, asked).cotenable
     if stmt.flavor is Flavor.SINGLE:
         classification = (Classification.TRUE_BY_COINCIDENCE
                           if deviation <= EPS_NORM else Classification.FALSE)
     else:
-        classification = (Classification.NONTRIVIALLY_TRUE if cotenable
+        classification = (Classification.NONTRIVIALLY_TRUE if cotenable[0]
                           else Classification.TRIVIALLY_TRUE)
-    return Verdict(stmt.flavor, claimed, world, deviation, cotenable,
+    return Verdict(stmt.flavor, claimed, world, deviation, bool(cotenable[0]),
                    classification)

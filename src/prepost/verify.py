@@ -8,16 +8,16 @@ in dimensions 2 to 4, each against a tolerance of 1e-10:
                         evolution leaves them unchanged
   born_marginalization  averaging over final outcomes recovers the Born rule
   oracle_equivalence    the engine matches brute-force path enumeration
-  compound_triviality   compound-reading verdicts never deviate, and are
-                        nontrivial exactly when the query is cotenable
+  compound_triviality   the claim matches path enumeration, and is cotenable
+                        exactly when dephasing by the query keeps Born(a)
 
-Instances are drawn as stacked arrays, a block at a time. The first four
-suites read a block's joint tables off one call of the stacked kernel and
-compare them with 1, with each other or with raw numpy; compound_triviality
-runs evaluate and cotenability_report per instance. Every catalogue
-scenario's agreement gates are recorded too. All of it runs in the calling
-process, each suite on its own seeded stream, so reports are deterministic
-for a given seed, regardless of worker count.
+Instances are drawn as stacked arrays, a block at a time. Each suite reads
+a block's joint tables off one call of the stacked kernel and compares them
+with 1, with each other or with raw numpy; compound_triviality runs them
+through evaluate's verdict rule, counterfactual._verdicts, and draws half
+its instances cotenable. Every scenario's agreement gates are recorded too.
+All of it runs in the calling process, each suite on its own seeded stream,
+so reports are deterministic for a given seed, regardless of worker count.
 """
 from __future__ import annotations
 
@@ -26,24 +26,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .abl import ImpossiblePostSelection, _abl
-from .core import (
-    EPS_COTEN,
-    EPS_PROB,
-    EPS_VERIFY as TOLERANCE,
-    ProjectiveMeasurement,
-    Protocol,
-    PureState,
-    _branches,
-    _evolved,
-)
-from .counterfactual import (
-    Classification,
-    CounterfactualStatement,
-    Flavor,
-    cotenability_report,
-    evaluate,
-)
+from .abl import _abl
+from .core import (EPS_COTEN, EPS_PROB, EPS_VERIFY as TOLERANCE, _born_rows, _branches,
+                   _checked_rows, _evolved)
+from .counterfactual import _verdicts
 from .ensemble import resolve_workers
 from .scenarios import available_scenarios, run_scenario
 
@@ -158,10 +144,6 @@ def _binary(rng: np.random.Generator, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return stacks, k
 
 
-def _pvm(stack: np.ndarray, prefix: str) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement([(f"{prefix}{j}", m) for j, m in enumerate(stack)])
-
-
 def _groups(instances: int, dims: tuple[int, ...], pvms: int):
     """(dim, shape, count) for each group of instances drawn alike. The k-th
     instance has dimension dims[k % len(dims)]; above dimension 2, the
@@ -266,33 +248,33 @@ def _suite_oracle_equivalence(instances: int, seed: int) -> SuiteResult:
 
 
 def _suite_compound_triviality(instances: int, seed: int) -> SuiteResult:
-    # The public verdict path, instance by instance; an engine error other
-    # than an impossible selection fails the instance.
-    rng = _rng(seed, 4)
+    # The verdict rule against the path weights |F_k P_j a|^2: the claim is
+    # their normalised column k, and the query is cotenable when dephasing a
+    # by it keeps Born(a) on F. Every other instance is drawn cotenable.
+    rng, eigen = _rng(seed, 4), _rng(seed, 5)
 
     def check(count: int, dim: int, shape: tuple[bool, ...]) -> np.ndarray:
         a = _states(rng, count, dim)
         q, f = _unitaries(rng, 2, count, dim)
         queries, finals = _projectors(q, shape[0]), _projectors(f, False)
         k = rng.integers(dim, size=count)
-        labels = tuple(str(j) for j in range(dim))
-        errors = []
-        for i in range(count):
-            base = Protocol(PureState(labels, a[i]), _pvm(finals[i], "b"),
-                            selection=f"b{k[i]}")
-            query = _pvm(queries[i], "q")
-            try:
-                verdict = evaluate(CounterfactualStatement(base, query, Flavor.COMPOUND))
-                coten = cotenability_report(base, query)
-            except ImpossiblePostSelection:
-                continue
-            except ValueError:
-                errors.append(np.nan)
-                continue
-            consistent = ((verdict.classification is Classification.NONTRIVIALLY_TRUE)
-                          == (coten.tvd <= EPS_COTEN))
-            errors.append(verdict.max_deviation if consistent else np.nan)
-        return np.array(errors)
+        # A drawn column of the query's unitary, or a unit combination of
+        # columns 0 and 1 when they span one outcome, is in an eigenspace.
+        e = q[::2]
+        a[::2] = (np.einsum("bxc,bc->bx", e[:, :, :2], _states(eigen, len(e), 2)) if shape[0]
+                  else e[np.arange(len(e)), :, eigen.integers(dim, size=len(e))])
+        try:
+            p, rows = _branches(a, np.broadcast_to(np.eye(dim), q.shape), queries, finals)
+            claimed, denominator, _, cotenable = _verdicts(p, rows, k, _checked_rows(_born_rows(a, finals)))
+        except ValueError:
+            return np.full(count, np.nan)
+        usable = denominator > EPS_PROB
+        weights = (np.abs(np.einsum("bkxy,bjyz,bz->bjkx", finals, queries, a)) ** 2).sum(3)[usable]
+        selected = weights[np.arange(len(weights)), :, k[usable]]
+        born = (np.abs(np.einsum("bkxy,by->bkx", finals, a)) ** 2).sum(2)[usable]
+        dephased = 0.5 * np.abs(born - weights.sum(1)).sum(1) <= EPS_COTEN
+        error = np.abs(claimed[usable] - selected / selected.sum(1, keepdims=True)).max(1)
+        return np.where(cotenable[usable] == dephased, error, np.nan)
     return _suite("compound_triviality", instances, (2, 3), 1, check)
 
 

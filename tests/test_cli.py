@@ -341,8 +341,8 @@ PINNED_REPORTS = {
                             ("crossed_polarizers", "b0dd1c51d9e72e1b"),
                             ("epr_no_signaling", "af124bfacf4920cc"),
                             ("epr_timelike_detection", "bbd043df9b05b368")]},
-    "verify-json": (SMALL_VERIFY + ["--format", "json"], "181ff851570d28cc"),
-    "verify-text": (SMALL_VERIFY + ["--format", "text"], "ba0eacf8fc87664d"),
+    "verify-json": (SMALL_VERIFY + ["--format", "json"], "0abcc86e1af7e04b"),
+    "verify-text": (SMALL_VERIFY + ["--format", "text"], "10242395e3c0edcf"),
     "evaluate-json": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),
                        "--format", "json"], "1468b497ff3ff517"),
     "evaluate-text": (["evaluate", "--config", str(CONFIG_DIR / "aad_single.json"),

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import prepost
-from prepost import abl, verify
+from prepost import abl, core, counterfactual, verify
+from prepost.core import EPS_PROB
 from prepost.ensemble import MAX_WORKERS
 from prepost.verify import VerificationReport, run_verification
 
@@ -147,43 +148,89 @@ def _fault_scaled_denominator(p, rows, k):
     return conditional / 1.001, denominator * 1.001
 
 
+def _fault_negated_cotenable(p, rows, k, undisturbed):
+    """Reports every query as cotenable exactly when it is not."""
+    claimed, denominator, tvd, cotenable = REAL_VERDICTS(p, rows, k, undisturbed)
+    return claimed, denominator, tvd, ~cotenable
+
+
+def _fault_conjugated_evolution(x, u):
+    """Evolves by conj(U) instead of U."""
+    return REAL_EVOLVED(x, u.conj())
+
+
 REAL_ABL = abl._abl
+REAL_VERDICTS = counterfactual._verdicts
+REAL_EVOLVED = core._evolved
 FAULTS = {
     "column_zero": (_fault_column_zero,
                     {"born_marginalization", "oracle_equivalence"}),
     "scaled_denominator": (_fault_scaled_denominator,
                            {"abl_sum_to_one", "born_marginalization",
                             "oracle_equivalence", "compound_triviality"}),
+    "negated_cotenable": (_fault_negated_cotenable, {"compound_triviality"}),
+    "conjugated_evolution": (_fault_conjugated_evolution,
+                             {"born_marginalization", "oracle_equivalence"}),
 }
+# The routine each fault stands in for, by its name in the package's modules.
+REPLACED = {"_abl": REAL_ABL, "_verdicts": REAL_VERDICTS, "_evolved": REAL_EVOLVED}
+TARGET = {"negated_cotenable": "_verdicts", "conjugated_evolution": "_evolved"}
 
 
 class TestFaultsAreCaught:
-    """A wrong conditioning is failed by count, on every instance of each
-    suite named for it, and no suite raises."""
+    """A wrong conditioning, verdict or evolution is failed by count, on every
+    instance of each suite named for it, and no suite raises."""
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_named_suites_fail_every_instance(self, monkeypatch, fault):
         wrong, named = FAULTS[fault]
-        for module in (prepost, abl, verify):
-            if getattr(module, "_abl", None) is REAL_ABL:
-                monkeypatch.setattr(module, "_abl", wrong)
+        target = TARGET.get(fault, "_abl")
+        for module in (prepost, abl, core, counterfactual, verify):
+            if getattr(module, target, None) is REPLACED[target]:
+                monkeypatch.setattr(module, target, wrong)
         results = {r.name: r for r in (suite(60, 2) for suite in verify._SUITES)}
         for name in named:
             assert results[name].failures == results[name].instances == 60, name
+
+
+def _peaks(run) -> list[int]:
+    """run's tracemalloc peak at 12 and at 96 blocks of instances."""
+    run(40, 0)  # one-time allocations
+    peaks = []
+    for blocks in (12, 96):
+        tracemalloc.start()
+        try:
+            result = run(blocks * verify.BLOCK, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.failures == 0
+    return peaks
 
 
 class TestMemory:
     def test_working_memory_does_not_grow_with_instances(self):
         # At 12 blocks each dimension-3 and -4 group of abl_sum_to_one is one
         # block; at 96 blocks it is eight.
-        verify._suite_sum_to_one(40, 0)  # one-time allocations
-        peaks = []
-        for blocks in (12, 96):
-            tracemalloc.start()
-            try:
-                result = verify._suite_sum_to_one(blocks * verify.BLOCK, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert result.failures == 0
+        peaks = _peaks(verify._suite_sum_to_one)
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_compound_working_memory_does_not_grow_with_instances(self):
+        # At 12 blocks each group of compound_triviality is three blocks or
+        # six; at 96 blocks eight times as many.
+        peaks = _peaks(verify._suite_compound_triviality)
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+class TestCotenableDraws:
+    def test_each_classification_holds_two_fifths(self, monkeypatch):
+        flags = []
+
+        def recorded(p, rows, k, undisturbed):
+            out = REAL_VERDICTS(p, rows, k, undisturbed)
+            flags.extend(out[3][out[1] > EPS_PROB])
+            return out
+        monkeypatch.setattr(verify, "_verdicts", recorded)
+        assert verify._suite_compound_triviality(200, 0).failures == 0
+        assert len(flags) == 200
+        assert 0.4 * len(flags) <= sum(flags) <= 0.6 * len(flags)
